@@ -13,7 +13,7 @@ STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
 .PHONY: all build vet lint test race bench bench-json bench-trajectory \
-	bench-smoke fleet-smoke gang-smoke results examples trace install-lint-tools
+	bench-smoke fleet-smoke gang-smoke results results-check examples trace install-lint-tools
 
 # The committed engine-performance baseline. Bump the number when a PR
 # intentionally moves the trajectory; `make bench-trajectory` regenerates
@@ -124,6 +124,19 @@ trace:
 # Regenerate every table and figure of the paper (and the extensions).
 results:
 	go run ./cmd/swbench -exp all -iters 200 -requests 200 | tee docs/results-full.txt
+
+# Behaviour oracle: every swbench section at test-sized arguments must
+# hash to its committed digest in cmd/swbench/testdata/results.sha256
+# (whose header line records these arguments). TestResultsDigests checks
+# the same file in process, minus the heaviest fixed-size section; a
+# change that moves a result on purpose regenerates the file with
+#   go test ./cmd/swbench -run TestResultsDigests -update
+RESULTS_ORACLE_ARGS := -iters 2 -requests 5 -fleet-window 5s -clients 1000
+
+results-check:
+	go run ./cmd/swbench -digest $(RESULTS_ORACLE_ARGS) > results_digests.txt
+	diff cmd/swbench/testdata/results.sha256 results_digests.txt
+	@echo "results-check OK"
 
 examples:
 	go run ./examples/quickstart

@@ -98,7 +98,7 @@ func engineBench(opts benchOpts) error {
 		horizon = 5 * time.Second
 	}
 
-	header("Engine micro: wheel vs heap (ns/event, steady state)")
+	header(os.Stdout, "Engine micro: wheel vs heap (ns/event, steady state)")
 	fmt.Printf("%-18s %8s %8s %12s %12s %9s\n", "workload", "depth", "engine", "ns/event", "allocs/op", "Mev/s")
 	for _, depth := range depths {
 		for _, m := range microPair("schedule_step", depth, microIters, benchScheduleStepWheel, benchScheduleStepHeap) {
@@ -111,7 +111,7 @@ func engineBench(opts benchOpts) error {
 		}
 	}
 
-	header("Fleet macro: serial vs sharded epoch advance")
+	header(os.Stdout, "Fleet macro: serial vs sharded epoch advance")
 	fmt.Printf("%-8s %8s %10s %12s %12s %9s %9s %9s\n",
 		"name", "nodes", "mode", "wall s", "events", "kev/s", "max/mean", "min/mean")
 	for _, nodes := range fleets {
@@ -364,7 +364,7 @@ func mustModel(name string) *models.Spec {
 // printSpeedups prints the machine-portable ratios the regression gate
 // uses.
 func printSpeedups(r benchReport) {
-	header("Speedups (machine-portable regression metrics)")
+	header(os.Stdout, "Speedups (machine-portable regression metrics)")
 	for _, name := range []string{"schedule_step", "reschedule_storm"} {
 		for _, depth := range microDepths(r, name) {
 			if s, ok := microSpeedup(r, name, depth); ok {

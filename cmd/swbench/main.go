@@ -12,8 +12,11 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -36,6 +39,7 @@ func main() {
 		benchLabel = flag.String("bench-label", "dev", "with -exp engine: label stored in the JSON artifact")
 		clients    = flag.Int("clients", 1_000_000, "with -exp fleet: simulated client population (aggregated, base rate stays fixed)")
 		fleetWin   = flag.Duration("fleet-window", 75*time.Second, "with -exp fleet: virtual horizon of the fleet scenario")
+		digest     = flag.Bool("digest", false, "print a sha256 digest of each section's output instead of the tables")
 	)
 	flag.Parse()
 	harness.SetParallelism(*parallel)
@@ -54,7 +58,14 @@ func main() {
 		}
 		return
 	}
-	if err := run(*exp, *iters, *requests, *fleetWin, *clients); err != nil {
+	sz := sizes{iters: *iters, requests: *requests, fleetWin: *fleetWin, clients: *clients}
+	var err error
+	if *digest {
+		err = digests(os.Stdout, *exp, sz)
+	} else {
+		err = run(*exp, sz)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "swbench:", err)
 		os.Exit(1)
 	}
@@ -90,39 +101,89 @@ func writeTrace(path string) error {
 	return fmt.Errorf("no switchflow cell in trace results")
 }
 
-func run(exp string, iters, requests int, fleetWin time.Duration, clients int) error {
-	all := map[string]func(){
-		"t1":       func() { table1() },
-		"f2":       func() { figure2() },
-		"f3":       func() { figure3(iters) },
-		"f6":       func() { figure6(requests) },
-		"f7":       func() { figure7() },
-		"f8":       func() { figure8(iters) },
-		"f9":       func() { figure9(iters) },
-		"f10":      func() { figure10(iters) },
-		"preempt":  func() { preempt(requests) },
-		"ablation": func() { ablation(requests) },
-		"gandiva":  func() { gandiva(requests) },
-		"load":     func() { load(requests) },
-		"serving":  func() { serving() },
-		"eager":    func() { eager() },
-		"fleet":    func() { fleet(fleetWin, clients) },
-		"chaos":    func() { chaos() },
-		"elastic":  func() { elastic() },
-		"gang":     func() { gang() },
-	}
+// sizes are the knobs of the size-parameterized sections.
+type sizes struct {
+	iters, requests int
+	fleetWin        time.Duration
+	clients         int
+}
+
+// section is one swbench -exp table: its id and the function that
+// writes it.
+type section struct {
+	id  string
+	run func(w io.Writer, sz sizes)
+}
+
+// sections lists every experiment in -exp all order.
+var sections = []section{
+	{"t1", func(w io.Writer, _ sizes) { table1(w) }},
+	{"f2", func(w io.Writer, _ sizes) { figure2(w) }},
+	{"f3", func(w io.Writer, sz sizes) { figure3(w, sz.iters) }},
+	{"f6", func(w io.Writer, sz sizes) { figure6(w, sz.requests) }},
+	{"f7", func(w io.Writer, _ sizes) { figure7(w) }},
+	{"f8", func(w io.Writer, sz sizes) { figure8(w, sz.iters) }},
+	{"f9", func(w io.Writer, sz sizes) { figure9(w, sz.iters) }},
+	{"f10", func(w io.Writer, sz sizes) { figure10(w, sz.iters) }},
+	{"preempt", func(w io.Writer, sz sizes) { preempt(w, sz.requests) }},
+	{"gandiva", func(w io.Writer, sz sizes) { gandiva(w, sz.requests) }},
+	{"load", func(w io.Writer, sz sizes) { load(w, sz.requests) }},
+	{"serving", func(w io.Writer, _ sizes) { serving(w) }},
+	{"eager", func(w io.Writer, _ sizes) { eager(w) }},
+	{"fleet", func(w io.Writer, sz sizes) { fleet(w, sz.fleetWin, sz.clients) }},
+	{"ablation", func(w io.Writer, sz sizes) { ablation(w, sz.requests) }},
+	{"chaos", func(w io.Writer, _ sizes) { chaos(w) }},
+	{"elastic", func(w io.Writer, _ sizes) { elastic(w) }},
+	{"gang", func(w io.Writer, _ sizes) { gang(w) }},
+}
+
+func run(exp string, sz sizes) error {
 	if exp == "all" {
-		for _, id := range []string{"t1", "f2", "f3", "f6", "f7", "f8", "f9", "f10", "preempt", "gandiva", "load", "serving", "eager", "fleet", "ablation", "chaos", "elastic", "gang"} {
-			timed(id, all[id])
+		for _, s := range sections {
+			timed(s.id, func() { s.run(os.Stdout, sz) })
 		}
 		return nil
 	}
-	fn, ok := all[exp]
-	if !ok {
+	for _, s := range sections {
+		if s.id == exp {
+			timed(exp, func() { s.run(os.Stdout, sz) })
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown experiment %q", exp)
+}
+
+// digestLine is the sha256 line of one section's output, the format of
+// testdata/results.sha256.
+func digestLine(id string, out []byte) string {
+	return fmt.Sprintf("%x  %s\n", sha256.Sum256(out), id)
+}
+
+// digests writes the header and one digestLine per section selected by
+// exp, in -exp all order — the behaviour oracle `make results-check`
+// compares against testdata/results.sha256.
+func digests(w io.Writer, exp string, sz sizes) error {
+	fmt.Fprintf(w, "%s\n", digestHeader(sz))
+	found := false
+	for _, s := range sections {
+		if exp != "all" && s.id != exp {
+			continue
+		}
+		found = true
+		var buf bytes.Buffer
+		timed(s.id, func() { s.run(&buf, sz) })
+		fmt.Fprint(w, digestLine(s.id, buf.Bytes()))
+	}
+	if !found {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	timed(exp, fn)
 	return nil
+}
+
+// digestHeader records the sizes a digest file was generated at.
+func digestHeader(sz sizes) string {
+	return fmt.Sprintf("# swbench -digest -iters %d -requests %d -fleet-window %v -clients %d",
+		sz.iters, sz.requests, sz.fleetWin, sz.clients)
 }
 
 // timed reports per-experiment wall-clock time on stderr, keeping stdout
@@ -137,147 +198,147 @@ func timed(id string, fn func()) {
 		id, elapsed, harness.Parallelism())
 }
 
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n=== %s ===\n", title)
 }
 
-func table1() {
-	header("Table 1: model state transfer (GPU to GPU, PCIe 3.0 x16)")
-	fmt.Printf("%-20s %12s %9s %12s %12s %12s\n",
+func table1(w io.Writer) {
+	header(w, "Table 1: model state transfer (GPU to GPU, PCIe 3.0 x16)")
+	fmt.Fprintf(w, "%-20s %12s %9s %12s %12s %12s\n",
 		"model", "state MiB", "tensors", "transfer ms", "paper MiB", "paper ms")
 	for _, r := range experiments.Table1() {
-		fmt.Printf("%-20s %12.2f %9d %12.3f %12.2f %12.3f\n",
+		fmt.Fprintf(w, "%-20s %12.2f %9d %12.3f %12.2f %12.3f\n",
 			r.Model, r.StatefulMB, r.Tensors, r.TransferMS, r.PaperMB, r.PaperMS)
 	}
 }
 
-func figure2() {
-	header("Figure 2: two ResNet50 training jobs sharing a V100 (threaded TF)")
+func figure2(w io.Writer) {
+	header(w, "Figure 2: two ResNet50 training jobs sharing a V100 (threaded TF)")
 	res := experiments.Figure2(10 * time.Second)
-	fmt.Printf("solo: %.0f img/s; co-run: %.0f / %.0f img/s (paper: 226 -> 116)\n",
+	fmt.Fprintf(w, "solo: %.0f img/s; co-run: %.0f / %.0f img/s (paper: 226 -> 116)\n",
 		res.SoloImgPerSec, res.CoRunImgPerSec[0], res.CoRunImgPerSec[1])
-	fmt.Printf("kernel overlap fraction: %.3f (spatial sharing barely happens)\n",
+	fmt.Fprintf(w, "kernel overlap fraction: %.3f (spatial sharing barely happens)\n",
 		res.OverlapFraction)
-	fmt.Println("timeline (first 2s, 1 col = 25ms):")
-	_ = res.Timeline.RenderASCII(os.Stdout, 25*time.Millisecond, 80)
+	fmt.Fprintln(w, "timeline (first 2s, 1 col = 25ms):")
+	_ = res.Timeline.RenderASCII(w, 25*time.Millisecond, 80)
 }
 
-func figure3(iters int) {
-	header(fmt.Sprintf("Figure 3: GPU idle fraction per session (avg of %d sessions)", iters))
-	fmt.Printf("%-14s %-10s %-20s %6s %12s %12s %8s\n",
+func figure3(w io.Writer, iters int) {
+	header(w, fmt.Sprintf("Figure 3: GPU idle fraction per session (avg of %d sessions)", iters))
+	fmt.Fprintf(w, "%-14s %-10s %-20s %6s %12s %12s %8s\n",
 		"gpu", "mode", "model", "batch", "session ms", "gpu ms", "idle")
 	for _, r := range experiments.Figure3(iters) {
-		fmt.Printf("%-14s %-10s %-20s %6d %12.1f %12.1f %7.1f%%\n",
+		fmt.Fprintf(w, "%-14s %-10s %-20s %6d %12.1f %12.1f %7.1f%%\n",
 			r.GPU, r.Mode, r.Model, r.Batch, r.SessionMS, r.GPUBusyMS, r.IdleFrac*100)
 	}
 }
 
-func figure6(requests int) {
-	header(fmt.Sprintf("Figure 6: p95 inference tail latency, TF vs SwitchFlow (%d requests)", requests))
-	fmt.Printf("%-20s %-14s %12s %12s %9s\n", "training (bg)", "inference", "tf p95 ms", "sf p95 ms", "speedup")
+func figure6(w io.Writer, requests int) {
+	header(w, fmt.Sprintf("Figure 6: p95 inference tail latency, TF vs SwitchFlow (%d requests)", requests))
+	fmt.Fprintf(w, "%-20s %-14s %12s %12s %9s\n", "training (bg)", "inference", "tf p95 ms", "sf p95 ms", "speedup")
 	for _, r := range experiments.Figure6(requests) {
-		fmt.Printf("%-20s %-14s %12.1f %12.1f %8.2fx\n",
+		fmt.Fprintf(w, "%-20s %-14s %12.1f %12.1f %8.2fx\n",
 			r.TrainModel, r.InferModel, r.TFP95MS, r.SFP95MS, r.Speedup)
 	}
 }
 
-func figure7() {
-	header("Figure 7: throughput of two co-running training jobs (img/s)")
-	fmt.Printf("%-4s %-12s %-18s %-18s %8s %8s %8s %8s %6s %-8s\n",
+func figure7(w io.Writer) {
+	header(w, "Figure 7: throughput of two co-running training jobs (img/s)")
+	fmt.Fprintf(w, "%-4s %-12s %-18s %-18s %8s %8s %8s %8s %6s %-8s\n",
 		"sub", "scheduler", "background", "model",
 		"bg-solo", "bg-co", "md-solo", "md-co", "oom", "low-dev")
 	for _, r := range experiments.Figure7() {
-		fmt.Printf("%-4s %-12s %-18s %-18s %8.1f %8.1f %8.1f %8.1f %6v %-8s\n",
+		fmt.Fprintf(w, "%-4s %-12s %-18s %-18s %8.1f %8.1f %8.1f %8.1f %6v %-8s\n",
 			r.Subfigure, r.Scheduler, r.Background, r.Model,
 			r.BackgroundSolo, r.BackgroundCoRun, r.ModelSolo, r.ModelCoRun,
 			r.OOM, r.LowDevice)
 	}
 }
 
-func figure8(iters int) {
-	header(fmt.Sprintf("Figure 8: input reuse, 2 identical models, %d iterations each", iters))
-	fmt.Printf("%-14s %-10s %6s %-20s %12s %12s %9s\n",
+func figure8(w io.Writer, iters int) {
+	header(w, fmt.Sprintf("Figure 8: input reuse, 2 identical models, %d iterations each", iters))
+	fmt.Fprintf(w, "%-14s %-10s %6s %-20s %12s %12s %9s\n",
 		"gpu", "mode", "batch", "model", "timeslice s", "reuse s", "improve")
 	for _, r := range experiments.Figure8(iters) {
-		fmt.Printf("%-14s %-10s %6d %-20s %12.1f %12.1f %8.1f%%\n",
+		fmt.Fprintf(w, "%-14s %-10s %6d %-20s %12.1f %12.1f %8.1f%%\n",
 			r.GPU, r.Mode, r.Batch, r.Model, r.BaselineSec, r.ReuseSec, r.ImprovePct)
 	}
 }
 
-func figure9(iters int) {
-	header(fmt.Sprintf("Figure 9: input reuse among different models (V100, %d iterations)", iters))
-	fmt.Printf("%-46s %6s %12s %12s %9s\n", "models", "batch", "timeslice s", "reuse s", "improve")
+func figure9(w io.Writer, iters int) {
+	header(w, fmt.Sprintf("Figure 9: input reuse among different models (V100, %d iterations)", iters))
+	fmt.Fprintf(w, "%-46s %6s %12s %12s %9s\n", "models", "batch", "timeslice s", "reuse s", "improve")
 	for _, r := range experiments.Figure9(iters) {
-		fmt.Printf("%-46s %6d %12.1f %12.1f %8.1f%%\n",
+		fmt.Fprintf(w, "%-46s %6d %12.1f %12.1f %8.1f%%\n",
 			strings.Join(r.Models, "+"), r.Batch, r.BaselineSec, r.ReuseSec, r.ImprovePct)
 	}
 }
 
-func figure10(iters int) {
-	header(fmt.Sprintf("Figure 10: interleaving independent models (V100, %d iterations)", iters))
-	fmt.Printf("%-4s %-14s %-10s %-20s %12s %12s %9s\n",
+func figure10(w io.Writer, iters int) {
+	header(w, fmt.Sprintf("Figure 10: interleaving independent models (V100, %d iterations)", iters))
+	fmt.Fprintf(w, "%-4s %-14s %-10s %-20s %12s %12s %9s\n",
 		"sub", "partner", "p-mode", "model", "timeslice s", "switchflow s", "improve")
 	for _, r := range experiments.Figure10(iters) {
-		fmt.Printf("%-4s %-14s %-10s %-20s %12.1f %12.1f %8.1f%%\n",
+		fmt.Fprintf(w, "%-4s %-14s %-10s %-20s %12.1f %12.1f %8.1f%%\n",
 			r.Subfigure, r.Partner, r.PartnerMode, r.Model, r.BaselineSec, r.SFSec, r.ImprovePct)
 	}
 }
 
-func preempt(requests int) {
-	header("Preemption overhead (§5.2.3)")
-	fmt.Printf("%-14s %12s %10s %10s %10s %10s %12s %10s\n",
+func preempt(w io.Writer, requests int) {
+	header(w, "Preemption overhead (§5.2.3)")
+	fmt.Fprintf(w, "%-14s %12s %10s %10s %10s %10s %12s %10s\n",
 		"train model", "preemptions", "mean ms", "p95 ms", "max ms", "state MB", "transfer ms", "p95 serve")
 	for _, model := range []string{"ResNet50", "VGG16", "InceptionV3", "MobileNetV2"} {
 		r := experiments.PreemptionOverhead(model, requests)
-		fmt.Printf("%-14s %12d %10.2f %10.2f %10.2f %10.1f %12.2f %10.1f\n",
+		fmt.Fprintf(w, "%-14s %12d %10.2f %10.2f %10.2f %10.1f %12.2f %10.1f\n",
 			r.TrainModel, r.Preemptions, r.MeanGrantMS, r.P95GrantMS, r.MaxGrantMS,
 			r.StateMB, r.TransferMS, r.ServedP95MS)
 	}
 }
 
-func ablation(requests int) {
-	header("Ablation: design choices of §3 (ResNet50 serve + VGG16 train, V100)")
-	fmt.Printf("%-18s %12s %12s %12s  %s\n",
+func ablation(w io.Writer, requests int) {
+	header(w, "Ablation: design choices of §3 (ResNet50 serve + VGG16 train, V100)")
+	fmt.Fprintf(w, "%-18s %12s %12s %12s  %s\n",
 		"variant", "serve p95", "train img/s", "grant p95", "description")
 	for _, r := range experiments.Ablation(requests) {
-		fmt.Printf("%-18s %10.1fms %12.1f %10.2fms  %s\n",
+		fmt.Fprintf(w, "%-18s %10.1fms %12.1f %10.2fms  %s\n",
 			r.Variant, r.ServeP95MS, r.TrainImgPS, r.PreemptP95, r.Description)
 	}
-	header("Ablation: migration state transfer (Figure 7 e scenario)")
-	fmt.Printf("%-16s %18s %18s\n", "variant", "high 1st step s", "low recovery s")
+	header(w, "Ablation: migration state transfer (Figure 7 e scenario)")
+	fmt.Fprintf(w, "%-16s %18s %18s\n", "variant", "high 1st step s", "low recovery s")
 	for _, r := range experiments.AblationMigration() {
-		fmt.Printf("%-16s %18.3f %18.3f\n", r.Variant, r.HighFirstStepSec, r.LowRecoverySec)
+		fmt.Fprintf(w, "%-16s %18.3f %18.3f\n", r.Variant, r.HighFirstStepSec, r.LowRecoverySec)
 	}
 }
 
-func gandiva(requests int) {
-	header("Preemption mechanisms: SwitchFlow vs Gandiva-style checkpointing (§6)")
-	fmt.Printf("%-14s | %10s %10s %10s | %10s %10s %10s\n",
+func gandiva(w io.Writer, requests int) {
+	header(w, "Preemption mechanisms: SwitchFlow vs Gandiva-style checkpointing (§6)")
+	fmt.Fprintf(w, "%-14s | %10s %10s %10s | %10s %10s %10s\n",
 		"train model", "sf p95", "sf grant", "sf steps/s", "ckpt p95", "ckpt grant", "ck steps/s")
 	for _, r := range experiments.Gandiva(requests) {
-		fmt.Printf("%-14s | %8.1fms %8.1fms %10.2f | %8.1fms %8.1fms %10.2f\n",
+		fmt.Fprintf(w, "%-14s | %8.1fms %8.1fms %10.2f | %8.1fms %8.1fms %10.2f\n",
 			r.TrainModel, r.SFP95MS, r.SFGrantP95MS, r.SFTrainPS,
 			r.CkptP95MS, r.CkptGrantP95MS, r.CkptTrainPS)
 	}
 }
 
-func load(requests int) {
-	header("Load sweep: Poisson inference + VGG16 training on a V100")
-	fmt.Printf("%10s %12s %12s %12s %12s\n", "req/s", "tf p95 ms", "tf p99 ms", "sf p95 ms", "sf p99 ms")
+func load(w io.Writer, requests int) {
+	header(w, "Load sweep: Poisson inference + VGG16 training on a V100")
+	fmt.Fprintf(w, "%10s %12s %12s %12s %12s\n", "req/s", "tf p95 ms", "tf p99 ms", "sf p95 ms", "sf p99 ms")
 	for _, r := range experiments.LoadSweep(requests) {
-		fmt.Printf("%10.1f %12.1f %12.1f %12.1f %12.1f\n",
+		fmt.Fprintf(w, "%10.1f %12.1f %12.1f %12.1f %12.1f\n",
 			r.RatePerSec, r.TFP95MS, r.TFP99MS, r.SFP95MS, r.SFP99MS)
 	}
 }
 
-func serving() {
-	header("Serving: SLO-aware dynamic batching + admission control (ResNet50, V100, 200ms SLO, 30s)")
-	fmt.Printf("%10s | %10s %9s %9s %7s %7s %7s | %10s %9s %9s %7s %7s\n",
+func serving(w io.Writer) {
+	header(w, "Serving: SLO-aware dynamic batching + admission control (ResNet50, V100, 200ms SLO, 30s)")
+	fmt.Fprintf(w, "%10s | %10s %9s %9s %7s %7s %7s | %10s %9s %9s %7s %7s\n",
 		"req/s",
 		"b-goodput", "b-p95", "b-p99", "b-shed", "b-att%", "b-batch",
 		"u-goodput", "u-p95", "u-p99", "u-shed", "u-att%")
 	for _, r := range experiments.ServingSweep(30 * time.Second) {
-		fmt.Printf("%10.1f | %10.1f %7.1fms %7.1fms %7d %6.1f%% %7.2f | %10.1f %7.1fms %7.1fms %7d %6.1f%%\n",
+		fmt.Fprintf(w, "%10.1f | %10.1f %7.1fms %7.1fms %7d %6.1f%% %7.2f | %10.1f %7.1fms %7.1fms %7d %6.1f%%\n",
 			r.RatePerSec,
 			r.Batched.GoodputPS, r.Batched.P95MS, r.Batched.P99MS,
 			r.Batched.Shed, r.Batched.AttainPct, r.Batched.MeanBatch,
@@ -286,68 +347,68 @@ func serving() {
 	}
 }
 
-func eager() {
-	header("Execution modes: eager vs static vs fused-static (solo training, V100)")
-	fmt.Printf("%-14s %6s %12s %12s %12s %10s %10s\n",
+func eager(w io.Writer) {
+	header(w, "Execution modes: eager vs static vs fused-static (solo training, V100)")
+	fmt.Fprintf(w, "%-14s %6s %12s %12s %12s %10s %10s\n",
 		"model", "batch", "eager img/s", "static", "fused", "static-x", "fused-x")
 	for _, r := range experiments.EagerComparison() {
-		fmt.Printf("%-14s %6d %12.1f %12.1f %12.1f %9.2fx %9.2fx\n",
+		fmt.Fprintf(w, "%-14s %6d %12.1f %12.1f %12.1f %9.2fx %9.2fx\n",
 			r.Model, r.Batch, r.EagerImgPS, r.StaticImgPS, r.FusedImgPS,
 			r.StaticSpeedX, r.FusedSpeedX)
 	}
 }
 
-func chaos() {
-	header("Chaos: fault injection and recovery (60s; GPU 0 lost at 20s + seeded transients/stalls)")
-	fmt.Printf("%-12s %5s %7s %8s %10s %7s %-8s %8s %6s %5s %5s %6s\n",
+func chaos(w io.Writer) {
+	header(w, "Chaos: fault injection and recovery (60s; GPU 0 lost at 20s + seeded transients/stalls)")
+	fmt.Fprintf(w, "%-12s %5s %7s %8s %10s %7s %-8s %8s %6s %5s %5s %6s\n",
 		"scheduler", "seed", "faults", "served", "p95 ms", "alive", "device", "train-it", "lost", "migr", "rest", "roll")
 	for _, r := range experiments.Chaos([]int64{1, 2, 3}) {
 		dev := r.ServeDevice
 		if dev == "" {
 			dev = "-"
 		}
-		fmt.Printf("%-12s %5d %7d %8d %10.1f %7v %-8s %8d %6d %5d %5d %6d\n",
+		fmt.Fprintf(w, "%-12s %5d %7d %8d %10.1f %7v %-8s %8d %6d %5d %5d %6d\n",
 			r.Scheduler, r.Seed, r.Injected, r.Served, r.ServeP95MS, r.ServeAlive, dev,
 			r.TrainIters, r.JobsLost, r.Migrations, r.Restarts, r.IterationsLost)
 	}
 }
 
-func elastic() {
-	header("Elastic: virtual-node recovery vs checkpoint/restart (60s; gpu:0 drained or lost at 30s)")
-	fmt.Printf("%-10s %-12s %8s %7s %6s %6s %6s %6s  %-20s\n",
+func elastic(w io.Writer) {
+	header(w, "Elastic: virtual-node recovery vs checkpoint/restart (60s; gpu:0 drained or lost at 30s)")
+	fmt.Fprintf(w, "%-10s %-12s %8s %7s %6s %6s %6s %6s  %-20s\n",
 		"mode", "scheduler", "train-it", "alive", "rest", "roll", "grows", "rebind", "binding")
 	for _, r := range experiments.Elastic() {
 		binding := r.Binding
 		if binding == "" {
 			binding = "-"
 		}
-		fmt.Printf("%-10s %-12s %8d %7v %6d %6d %6d %6d  %-20s\n",
+		fmt.Fprintf(w, "%-10s %-12s %8d %7v %6d %6d %6d %6d  %-20s\n",
 			r.Mode, r.Scheduler, r.Iterations, r.Alive, r.Restarts, r.IterationsLost,
 			r.Grows, r.Rebinds, binding)
 	}
 }
 
-func gang() {
-	header("Gang: data-parallel training with topology-priced ring all-reduce (30s, NVLink islands)")
-	fmt.Printf("%-12s %8s %6s %10s %7s %7s %7s %7s %7s %8s\n",
+func gang(w io.Writer) {
+	header(w, "Gang: data-parallel training with topology-priced ring all-reduce (30s, NVLink islands)")
+	fmt.Fprintf(w, "%-12s %8s %6s %10s %7s %7s %7s %7s %7s %8s\n",
 		"mode", "train-it", "syncs", "sync ms", "places", "preempt", "resume", "stragl", "queued", "partial")
 	for _, r := range experiments.Gang() {
-		fmt.Printf("%-12s %8d %6d %10.3f %7d %7d %7d %7d %7d %8d\n",
+		fmt.Fprintf(w, "%-12s %8d %6d %10.3f %7d %7d %7d %7d %7d %8d\n",
 			r.Mode, r.Iterations, r.AllReduces, r.MeanSyncMillis,
 			r.GangPlaces, r.GangPreempts, r.GangResumes, r.Stragglers,
 			r.QueuedWhole, r.PartialGangs)
 	}
 }
 
-func fleet(window time.Duration, clients int) {
-	header(fmt.Sprintf(
+func fleet(w io.Writer, window time.Duration, clients int) {
+	header(w, fmt.Sprintf(
 		"Fleet: million-user serving on 8 nodes / 16x V100 (%v window, %d clients, diurnal + 6x flash crowd)",
 		window, clients))
-	fmt.Printf("%-12s %-5s %9s %9s %7s %8s %9s %10s %4s %4s %4s %4s %5s %7s %9s %7s %7s %11s\n",
+	fmt.Fprintf(w, "%-12s %-5s %9s %9s %7s %8s %9s %10s %4s %4s %4s %4s %5s %7s %9s %7s %7s %11s\n",
 		"strategy", "auto", "offered", "routed", "drop", "shed", "served", "goodput/s",
 		"out", "in", "shr", "grw", "repl", "gold%", "gold p99", "slvr%", "brnz%", "train img/s")
 	for _, r := range experiments.Fleet(window, clients) {
-		fmt.Printf("%-12s %-5v %9d %9d %7d %8d %9d %10.1f %4d %4d %4d %4d %5d %6.1f%% %9.1f %6.1f%% %6.1f%% %11.1f\n",
+		fmt.Fprintf(w, "%-12s %-5v %9d %9d %7d %8d %9d %10.1f %4d %4d %4d %4d %5d %6.1f%% %9.1f %6.1f%% %6.1f%% %11.1f\n",
 			r.Strategy, r.Autoscaled, r.Offered, r.Routed, r.Dropped, r.Shed, r.Served,
 			r.GoodputPS, r.ScaleOuts, r.ScaleIns, r.Shrinks, r.Grows, r.FinalReplicas,
 			r.Gold.AttainPct, r.Gold.WorstP99MS, r.Silver.AttainPct, r.Bronze.AttainPct,
