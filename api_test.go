@@ -23,8 +23,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{"zero batch", func(s *switchflow.JobSpec) { s.Batch = 0 }},
 		{"negative batch", func(s *switchflow.JobSpec) { s.Batch = -4 }},
 		{"unknown model", func(s *switchflow.JobSpec) { s.Model = "NoSuchNet" }},
-		{"negative gpu", func(s *switchflow.JobSpec) { s.GPU = -1 }},
-		{"negative fallback", func(s *switchflow.JobSpec) { s.FallbackGPUs = []int{-2} }},
+		{"negative gpu", func(s *switchflow.JobSpec) { s.Placement.Device = -2 }},
+		{"negative fallback", func(s *switchflow.JobSpec) { s.Placement.Fallbacks = []int{-2} }},
 		{"negative serve period", func(s *switchflow.JobSpec) { s.ServeEvery = -time.Second }},
 		{"training with arrivals", func(s *switchflow.JobSpec) { s.Train = true }},
 		{"training closed loop", func(s *switchflow.JobSpec) { s.Train = true; s.ServeEvery = 0; s.ClosedLoop = true }},
@@ -68,8 +68,8 @@ func TestAddJobValidatesOnEveryScheduler(t *testing.T) {
 	bad := []switchflow.JobSpec{
 		{Name: "b", Model: "ResNet50", Batch: 0, Train: true},
 		{Name: "m", Model: "NoSuchNet", Batch: 8, Train: true},
-		{Name: "g", Model: "ResNet50", Batch: 8, Train: true, GPU: 99},
-		{Name: "f", Model: "ResNet50", Batch: 8, Train: true, FallbackGPUs: []int{99}},
+		{Name: "g", Model: "ResNet50", Batch: 8, Train: true, Placement: switchflow.Placement{Device: 99}},
+		{Name: "f", Model: "ResNet50", Batch: 8, Train: true, Placement: switchflow.Placement{Fallbacks: []int{99}}},
 		{Name: "c", Model: "ResNet50", Batch: 1, ClosedLoop: true, Saturated: true},
 	}
 	for _, policy := range allPolicies {
@@ -194,14 +194,6 @@ func TestPlacementValidation(t *testing.T) {
 		name   string
 		mutate func(*switchflow.JobSpec)
 	}{
-		{"legacy and placement mixed", func(s *switchflow.JobSpec) {
-			s.GPU = 1
-			s.Placement = switchflow.Placement{Device: 1}
-		}},
-		{"legacy fallback and placement mixed", func(s *switchflow.JobSpec) {
-			s.FallbackGPUs = []int{1}
-			s.Placement = switchflow.Placement{Device: 0, Fallbacks: []int{1}}
-		}},
 		{"device below CPUDevice", func(s *switchflow.JobSpec) {
 			s.Placement = switchflow.Placement{Device: -2}
 		}},
@@ -248,45 +240,6 @@ func TestPlacementValidation(t *testing.T) {
 	if err := s.Validate(); !errors.Is(err, switchflow.ErrInvalidJobSpec) {
 		t.Errorf("serving job with vnodes: %v, want ErrInvalidJobSpec", err)
 	}
-}
-
-// The deprecated GPU/FallbackGPUs/FallbackCPU shims normalize into
-// Placement; the same scenario must produce identical results through
-// either spelling.
-func TestLegacyPlacementShimMatchesPlacement(t *testing.T) {
-	withSpec := func(mutate func(*switchflow.JobSpec)) func(*switchflow.Simulation) switchflow.Scheduler {
-		return func(s *switchflow.Simulation) switchflow.Scheduler {
-			sched, err := s.NewScheduler(switchflow.PolicySwitchFlow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return specMutatingScheduler{Scheduler: sched, mutate: mutate}
-		}
-	}
-	serveOld, trainOld := runCollocation(t, withSpec(func(s *switchflow.JobSpec) {
-		s.GPU = 1
-		s.FallbackGPUs = []int{0}
-		s.FallbackCPU = true
-	}))
-	serveNew, trainNew := runCollocation(t, withSpec(func(s *switchflow.JobSpec) {
-		s.Placement = switchflow.Placement{Device: 1, Fallbacks: []int{0}, AllowCPU: true}
-	}))
-	if serveOld != serveNew || trainOld != trainNew {
-		t.Errorf("outcomes differ:\nlegacy: serve=%+v train=%+v\nplacement: serve=%+v train=%+v",
-			serveOld, trainOld, serveNew, trainNew)
-	}
-}
-
-// specMutatingScheduler rewrites every spec before admission so one
-// scenario can run under two placement spellings.
-type specMutatingScheduler struct {
-	switchflow.Scheduler
-	mutate func(*switchflow.JobSpec)
-}
-
-func (s specMutatingScheduler) AddJob(spec switchflow.JobSpec) (*switchflow.Job, error) {
-	s.mutate(&spec)
-	return s.Scheduler.AddJob(spec)
 }
 
 // TestElasticOpsRequireSupport pins the ErrNotElastic contract: baselines
@@ -409,7 +362,7 @@ func TestFaultRecoveryAcceptance(t *testing.T) {
 		}
 		serve, err := sched.AddJob(switchflow.JobSpec{
 			Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2,
-			GPU: 0, FallbackGPUs: []int{1},
+			Placement:  switchflow.Placement{Device: 0, Fallbacks: []int{1}},
 			ServeEvery: 100 * time.Millisecond,
 		})
 		if err != nil {

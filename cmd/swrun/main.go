@@ -251,14 +251,11 @@ func run(machineName, schedName, jobsSpec string, window time.Duration,
 			js.BatchWait = serving.batchWait
 		}
 		if js.Train && len(vnodes) > 0 {
-			// Elastic placement replaces the legacy fields outright: the
-			// facade rejects specs that mix the two styles.
-			js.GPU, js.FallbackGPUs, js.FallbackCPU = 0, nil, false
 			js.Placement = switchflow.Placement{Device: vnodes[0], VNodes: vnodes}
 			js.Gang = gang > 0
 		} else if js.Train && gang > 0 {
 			// A gang of N replicas on consecutive GPUs from the job's @gpu.
-			js.FallbackGPUs, js.FallbackCPU = nil, false
+			js.Placement.Fallbacks, js.Placement.AllowCPU = nil, false
 			js.Gang, js.Replicas = true, gang
 		} else if js.Train || len(opts) > 0 {
 			// Training jobs fall back to every other GPU on this machine, in
@@ -266,8 +263,8 @@ func run(machineName, schedName, jobsSpec string, window time.Duration,
 			// get the same GPU fallbacks so SwitchFlow can migrate them off a
 			// lost device.
 			for i := 0; i < sim.GPUCount(); i++ {
-				if i != js.GPU {
-					js.FallbackGPUs = append(js.FallbackGPUs, i)
+				if i != js.Placement.Device {
+					js.Placement.Fallbacks = append(js.Placement.Fallbacks, i)
 				}
 			}
 		}
@@ -554,16 +551,16 @@ func parseJob(s string) (switchflow.JobSpec, error) {
 		}
 	}
 	spec = switchflow.JobSpec{
-		Name:     fmt.Sprintf("%s-%s", parts[0], parts[1]),
-		Model:    parts[1],
-		Batch:    batch,
-		Priority: prio,
-		GPU:      gpu,
+		Name:      fmt.Sprintf("%s-%s", parts[0], parts[1]),
+		Model:     parts[1],
+		Batch:     batch,
+		Priority:  prio,
+		Placement: switchflow.Placement{Device: gpu},
 	}
 	switch parts[0] {
 	case "train":
 		spec.Train = true
-		spec.FallbackCPU = true
+		spec.Placement.AllowCPU = true
 	case "serve":
 		spec.ClosedLoop = true
 	case "infer":

@@ -27,14 +27,13 @@ func run() error {
 	}
 
 	low, err := sched.AddJob(switchflow.JobSpec{
-		Name:         "resnet50-low",
-		Model:        "ResNet50",
-		Batch:        32,
-		Train:        true,
-		Priority:     1,
-		GPU:          1, // the RTX 2080 Ti
-		FallbackGPUs: []int{0},
-		FallbackCPU:  true,
+		Name:     "resnet50-low",
+		Model:    "ResNet50",
+		Batch:    32,
+		Train:    true,
+		Priority: 1,
+		// The RTX 2080 Ti, falling back to the 1080 Ti, then the CPU.
+		Placement: switchflow.Placement{Device: 1, Fallbacks: []int{0}, AllowCPU: true},
 	})
 	if err != nil {
 		return err
@@ -46,12 +45,12 @@ func run() error {
 		low.Throughput(sim.Now()))
 
 	high, err := sched.AddJob(switchflow.JobSpec{
-		Name:     "vgg16-high",
-		Model:    "VGG16",
-		Batch:    32,
-		Train:    true,
-		Priority: 2,
-		GPU:      1,
+		Name:      "vgg16-high",
+		Model:     "VGG16",
+		Batch:     32,
+		Train:     true,
+		Priority:  2,
+		Placement: switchflow.Placement{Device: 1},
 	})
 	if err != nil {
 		return err

@@ -104,9 +104,9 @@ type JobInfo struct {
 	Restarts int    `json:"restarts,omitempty"`
 	// Gang reports a synchronous data-parallel gang job (replicas meet at
 	// a ring all-reduce barrier and preempt/resume as one unit).
-	Gang bool `json:"gang,omitempty"`
-	Crashed  bool   `json:"crashed"`
-	Error    string `json:"error,omitempty"`
+	Gang    bool   `json:"gang,omitempty"`
+	Crashed bool   `json:"crashed"`
+	Error   string `json:"error,omitempty"`
 }
 
 // StatusInfo is the simulation-wide status payload.
@@ -642,17 +642,14 @@ func toSpec(req JobRequest) switchflow.JobSpec {
 		Gang:            req.Gang,
 		Replicas:        req.Replicas,
 	}
+	spec.Placement = switchflow.Placement{
+		Device:    req.GPU,
+		Fallbacks: req.FallbackGPUs,
+		AllowCPU:  req.FallbackCPU,
+		VNodes:    req.VNodes,
+	}
 	if len(req.VNodes) > 0 {
-		spec.Placement = switchflow.Placement{
-			Device:    req.VNodes[0],
-			Fallbacks: req.FallbackGPUs,
-			AllowCPU:  req.FallbackCPU,
-			VNodes:    req.VNodes,
-		}
-	} else {
-		spec.GPU = req.GPU
-		spec.FallbackGPUs = req.FallbackGPUs
-		spec.FallbackCPU = req.FallbackCPU
+		spec.Placement.Device = req.VNodes[0]
 	}
 	return spec
 }

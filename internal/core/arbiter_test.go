@@ -8,6 +8,10 @@ import (
 	"switchflow/internal/workload"
 )
 
+// holdGrant marks js's shard as holding the GPU, as the shard pump does
+// on a grant.
+func holdGrant(js *jobState) func() { return func() { js.shards[0].grant = held } }
+
 // arbiterHarness builds a manager and bare job states for direct
 // acquire/release tests.
 func arbiterHarness(t *testing.T, prios ...int) (*Manager, []*jobState) {
@@ -24,7 +28,7 @@ func arbiterHarness(t *testing.T, prios ...int) (*Manager, []*jobState) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		states[i] = &jobState{job: job, current: device.GPUID(0), weightsReady: true}
+		states[i] = m.newJobState(job, false)
 	}
 	return m, states
 }
@@ -41,7 +45,7 @@ func TestArbiterGrantsImmediatelyWhenFree(t *testing.T) {
 func TestArbiterFIFOWithinPriorityClass(t *testing.T) {
 	m, js := arbiterHarness(t, 1, 1, 1)
 	var order []int
-	m.acquire(0, js[0], func() {})
+	m.acquire(0, js[0], holdGrant(js[0]))
 	m.acquire(0, js[1], func() { order = append(order, 1) })
 	m.acquire(0, js[2], func() { order = append(order, 2) })
 	m.release(0)
@@ -53,7 +57,7 @@ func TestArbiterFIFOWithinPriorityClass(t *testing.T) {
 
 func TestArbiterPriorityJumpsQueue(t *testing.T) {
 	m, js := arbiterHarness(t, 1, 1, 2)
-	m.acquire(0, js[0], func() {})
+	m.acquire(0, js[0], holdGrant(js[0]))
 	var order []string
 	m.acquire(0, js[1], func() { order = append(order, "low") })
 	m.acquire(0, js[2], func() { order = append(order, "high") })
@@ -71,7 +75,7 @@ func TestArbiterPriorityJumpsQueue(t *testing.T) {
 
 func TestArbiterPreemptsOnlyLowerPriority(t *testing.T) {
 	m, js := arbiterHarness(t, 2, 2)
-	m.acquire(0, js[0], func() {})
+	m.acquire(0, js[0], holdGrant(js[0]))
 	granted := false
 	m.acquire(0, js[1], func() { granted = true })
 	m.eng.RunUntil(time.Second)

@@ -11,8 +11,9 @@ import (
 
 // This file is SwitchFlow's self-healing path (§3.4, §5.2 under induced
 // faults): the manager implements fault.Handler, reacting to device loss
-// by migrating victims through their configured Fallbacks with state
-// restored from host checkpoints, to transient kernel/ECC errors by
+// by rebinding elastic jobs and migrating single-device ones through
+// their configured Fallbacks with state restored from host checkpoints,
+// to transient kernel/ECC errors by replica re-seeding or
 // crash-and-restart with exponential backoff, and to input stalls by
 // pausing the input pipelines while compute drains prefetched batches.
 
@@ -45,18 +46,20 @@ func (m *Manager) HandleFault(ev fault.Event) {
 	}
 }
 
-// handleDeviceLost migrates every job on the lost device to a healthy
-// fallback, restoring weights from the host checkpoint (the device copy
-// is gone, so the cheap peer path of §3.3 is unavailable). Jobs without
-// a viable fallback crash — even SwitchFlow cannot run a job with
-// nowhere to put it.
+// handleDeviceLost relocates every job bound to the lost device. Its
+// in-flight step is torn down, then an elastic job heals by rebinding
+// the lost vnodes (surviving replicas re-seed them: no rollback, no
+// Restarts increment), while a single-device job — whose only replica is
+// gone — migrates to a healthy fallback and restores from the host
+// checkpoint (the cheap peer path of §3.3 is unavailable). Jobs with
+// nowhere to go crash: even SwitchFlow cannot run a job with nowhere to
+// put it.
 func (m *Manager) handleDeviceLost(dev device.ID) {
 	if dev.Kind != device.KindGPU || dev.Index >= len(m.machine.GPUs) {
 		return
 	}
-	// The arbiter's grant queue only ever holds jobs computing on this GPU
-	// (legacy jobs placed here, elastic shards bound here); every one of
-	// them is about to be migrated, healed, or crashed, so the whole
+	// The arbiter's grant queue only ever holds jobs computing on this GPU;
+	// every one of them is about to be relocated or crashed, so the whole
 	// arbiter resets.
 	m.arbs[dev.Index] = &arbiter{}
 	faultAt := m.eng.Now()
@@ -65,147 +68,185 @@ func (m *Manager) handleDeviceLost(dev device.ID) {
 		// migration source not yet freed); the pool was invalidated
 		// wholesale, so drop the accounting rather than double-freeing.
 		js.job.ForgetDevice(dev)
-		if js.stopped || js.job.Crashed() {
-			continue
-		}
-		if js.job.Elastic() {
-			// Zero-restart healing: surviving replicas re-seed a re-split
-			// binding; no rollback, no Restarts increment.
-			m.healElastic(js, dev, faultAt)
-			continue
-		}
-		if js.current != dev {
+		if !js.live() || !js.job.Binding().Uses(dev) {
 			continue
 		}
 		js.epoch++
-		if js.computeRun != nil {
-			js.computeRun.Discard()
-			js.computeRun = nil
-		}
-		if js.job.ComputeRunning {
-			js.job.AbandonCompute()
-		}
-		js.holding, js.waiting, js.preempting = false, false, false
-		js.restoring, js.restarting = false, false
-		js.checkpointRequested = false
-
-		to, ok := m.pickRecoveryTarget(js, dev)
-		if !ok {
-			js.job.Crash(fmt.Errorf("core: %s: %w (%v, no healthy fallback)",
-				js.job.Cfg.Name, fault.ErrDeviceLost, dev))
-			m.emitJobLost(js, dev, "no healthy fallback")
+		m.discardStep(js, dev)
+		if js.pol.whole {
+			m.restartElsewhere(js, dev, faultAt)
 			continue
 		}
-		m.Migrations++
-		m.bus.Emit(obs.Event{
-			Kind:   obs.KindMigrate,
-			Ctx:    js.job.Ctx,
-			Job:    js.job.Cfg.Name,
-			From:   dev.String(),
-			Device: to.String(),
-			Name:   "fault",
-		})
-		js.job.Restarted()
-		m.bus.Emit(obs.Event{
-			Kind:   obs.KindRestore,
-			Ctx:    js.job.Ctx,
-			Job:    js.job.Cfg.Name,
-			Device: to.String(),
-			Name:   "device-lost",
-			Count:  js.job.RollbackToCheckpoint(),
-		})
-		js.current = to
-		if js.checkpointed {
-			// Gandiva-mode job already checkpointed out to host memory; the
-			// normal restore path rebuilds it on the new device.
-			m.pump(js)
+		targets := m.targets(js, dev, false, true)
+		if len(targets) == 0 {
+			js.job.Crash(fmt.Errorf("core: %s: device %v lost with no healthy rebind target", js.job.Cfg.Name, dev))
+			m.emitJobLost(js, dev, "no healthy rebind target")
 			continue
 		}
-		m.restoreFromHost(js, faultAt)
+		devs := replaceDevice(js.job.Binding().DeviceList(), dev, targets)
+		err := m.applyBinding(js, devs, "fault", func() {
+			m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
+		})
+		if err != nil {
+			js.job.Crash(fmt.Errorf("core: %s: heal after losing %v: %w", js.job.Cfg.Name, dev, err))
+			m.emitJobLost(js, dev, "rebind failed")
+		}
 	}
 }
 
-// pickRecoveryTarget chooses the first healthy configured fallback with
-// room for the job's weights. Unlike preemption's pickFallback it ignores
-// who currently owns the target — surviving beats avoiding contention.
-func (m *Manager) pickRecoveryTarget(js *jobState, lost device.ID) (device.ID, bool) {
-	for _, dev := range js.job.Cfg.Fallbacks {
-		if dev == lost || !m.machine.Healthy(dev) {
-			continue
-		}
-		if dev.Kind == device.KindGPU {
-			gpu := m.machine.GPU(dev.Index)
-			if gpu == nil || gpu.Mem.Available() < js.job.WeightBytes() {
-				continue
-			}
-		}
-		return dev, true
+// restartElsewhere moves a single-device job off its lost device to the
+// first fitting configured fallback — surviving beats avoiding
+// contention, so the owner's priority is ignored — rolling back to its
+// last host checkpoint.
+func (m *Manager) restartElsewhere(js *jobState, lost device.ID, faultAt time.Duration) {
+	targets := m.targets(js, lost, false, false)
+	if len(targets) == 0 {
+		js.job.Crash(fmt.Errorf("core: %s: %w (%v, no healthy fallback)",
+			js.job.Cfg.Name, fault.ErrDeviceLost, lost))
+		m.emitJobLost(js, lost, "no healthy fallback")
+		return
 	}
-	return device.ID{}, false
+	to := targets[0]
+	m.Migrations++
+	m.bus.Emit(obs.Event{
+		Kind:   obs.KindMigrate,
+		Ctx:    js.job.Ctx,
+		Job:    js.job.Cfg.Name,
+		From:   lost.String(),
+		Device: to.String(),
+		Name:   "fault",
+	})
+	js.job.Restarted()
+	m.bus.Emit(obs.Event{
+		Kind:   obs.KindRestore,
+		Ctx:    js.job.Ctx,
+		Job:    js.job.Cfg.Name,
+		Device: to.String(),
+		Name:   "device-lost",
+		Count:  js.job.RollbackToCheckpoint(),
+	})
+	m.moveWhole(js, js.shards[0], to)
+	if js.phase == checkpointed {
+		// Gandiva-mode job already checkpointed out to host memory; the
+		// normal restore path rebuilds it on the new device.
+		m.pump(js)
+		return
+	}
+	m.restoreFromHost(js, faultAt)
 }
 
-// restoreFromHost rebuilds a job's state on js.current from the host
+// discardStep tears down a job's in-flight step after a fault: every
+// shard run is discarded, scratch freed, grants released (except on
+// lost, whose arbiter the fault handler reset wholesale) and queued grant
+// requests purged; the consumed input returns to the ready pool, and any
+// suspension or restart in progress ends.
+func (m *Manager) discardStep(js *jobState, lost device.ID) {
+	for _, sh := range js.shards {
+		if sh.run != nil {
+			sh.run.Discard()
+			sh.run = nil
+		}
+		m.freeScratch(js, sh)
+		if sh.grant.holds() && sh.dev != lost {
+			m.release(sh.dev.Index)
+		}
+		sh.grant = idle
+	}
+	m.purge(js)
+	if js.job.ComputeRunning {
+		js.job.AbandonCompute()
+	}
+	switch js.phase {
+	case suspending, gangSuspending, gangSuspended, restarting:
+		js.to(running)
+	case restoring:
+		js.to(checkpointed)
+	}
+}
+
+// restoreFromHost rebuilds a job's state on its device from the host
 // checkpoint: allocate weights, pay the H2D transfer (free for CPU
 // placements — host state is already in host memory), then resume.
 func (m *Manager) restoreFromHost(js *jobState, faultAt time.Duration) {
-	if _, err := js.job.Version(js.current); err != nil {
+	dev := js.dev()
+	if _, err := js.job.Version(dev); err != nil {
 		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
+		m.emitJobLost(js, dev, "no graph version")
 		return
 	}
-	if err := js.job.AllocWeights(js.current); err != nil {
+	if err := js.job.AllocWeights(dev); err != nil {
 		js.job.Crash(fmt.Errorf("core: restore %s: %w", js.job.Cfg.Name, err))
-		m.emitJobLost(js, js.current, "restore allocation failed")
+		m.emitJobLost(js, dev, "restore allocation failed")
 		return
 	}
 	js.weightsReady = false
 	epoch := js.epoch
 	finish := func() {
-		if js.epoch != epoch || js.stopped || js.job.Crashed() {
+		if js.epoch != epoch || !js.live() {
 			return
 		}
 		js.weightsReady = true
-		if js.current.Kind == device.KindGPU {
+		if dev.Kind == device.KindGPU {
 			js.inTempPool = false
 		}
 		m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
 		m.pump(js)
 	}
-	if js.current.Kind != device.KindGPU {
+	if dev.Kind != device.KindGPU {
 		m.eng.After(0, finish)
 		return
 	}
-	h2d := m.machine.HostToDevice(js.current.Index)
+	h2d := m.machine.HostToDevice(dev.Index)
 	h2d.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), finish)
 }
 
-// handleTransient restarts the job computing on dev from its last
-// checkpoint: the in-flight iteration is corrupted and discarded, the
-// job backs off exponentially in virtual time, reloads its weights from
-// the host checkpoint (ECC faults taint device state), and resumes. The
-// hardware itself stays usable, so no migration happens.
+// handleTransient recovers the job the transient kernel/ECC fault on dev
+// hits. Its in-flight step is corrupted and discarded. With a surviving
+// sibling replica the corrupted one is re-seeded over the peer path — no
+// rollback, no restart. Otherwise the corruption took the only copy: the
+// job rolls back to its last checkpoint, backs off exponentially in
+// virtual time, reloads its weights from the host checkpoint (ECC faults
+// taint device state), and resumes. The hardware itself stays usable, so
+// no migration happens.
 func (m *Manager) handleTransient(dev device.ID) {
 	js := m.transientVictim(dev)
 	if js == nil {
 		return
 	}
-	if js.job.Elastic() {
-		m.handleElasticTransient(js, dev)
-		return
-	}
 	js.epoch++
-	if js.computeRun != nil {
-		js.computeRun.Discard()
-		js.computeRun = nil
+	m.discardStep(js, device.ID{})
+	faultAt := m.eng.Now()
+	epoch := js.epoch
+	if js.job.WeightsOn(dev) {
+		for _, src := range js.job.Binding().Devices() {
+			if src == dev || !js.job.WeightsOn(src) || !m.machine.Healthy(src) {
+				continue
+			}
+			path, err := m.machine.CopyPath(src, dev)
+			if err != nil {
+				break
+			}
+			js.weightsReady = false
+			m.bus.Emit(obs.Event{
+				Kind:   obs.KindRestore,
+				Ctx:    js.job.Ctx,
+				Job:    js.job.Cfg.Name,
+				Device: dev.String(),
+				From:   src.String(),
+				Name:   "replica-sync",
+			})
+			path.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), func() {
+				if js.epoch != epoch || !js.live() {
+					return
+				}
+				js.weightsReady = true
+				m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
+				m.pump(js)
+			})
+			return
+		}
 	}
-	if js.job.ComputeRunning {
-		js.job.AbandonCompute()
-	}
-	js.job.FreeIntermediate(dev)
-	m.purgeRequests(js)
-	m.releaseFrom(js)
-	js.preempting = false
-	js.restarting = true
+	js.to(restarting)
 	js.job.Restarted()
 	m.bus.Emit(obs.Event{
 		Kind:   obs.KindRestore,
@@ -216,23 +257,20 @@ func (m *Manager) handleTransient(dev device.ID) {
 		Count:  js.job.RollbackToCheckpoint(),
 	})
 	backoff := js.job.NextRestartBackoff()
-	faultAt := m.eng.Now()
-	epoch := js.epoch
 	m.eng.After(backoff, func() {
-		if js.epoch != epoch || js.stopped || js.job.Crashed() {
+		if js.epoch != epoch || !js.live() {
 			return
 		}
 		finish := func() {
-			if js.epoch != epoch || js.stopped || js.job.Crashed() {
+			if js.epoch != epoch || !js.live() {
 				return
 			}
-			js.restarting = false
+			js.to(running)
 			m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
 			m.pump(js)
 		}
-		if js.current.Kind == device.KindGPU && m.machine.Healthy(js.current) {
-			h2d := m.machine.HostToDevice(js.current.Index)
-			h2d.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), finish)
+		if dev.Kind == device.KindGPU && m.machine.Healthy(dev) {
+			m.machine.HostToDevice(dev.Index).Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), finish)
 			return
 		}
 		finish()
@@ -240,58 +278,30 @@ func (m *Manager) handleTransient(dev device.ID) {
 }
 
 // transientVictim picks the job the fault hits: the device's current
-// owner, else the first job with state exposed there — computing, or
-// merely resident (an ECC error corrupts resident memory just as well as
-// a running kernel). Admission order keeps the choice deterministic.
+// owner, else the first job with state exposed there — bound to the
+// device with compute in flight or weights resident (an ECC error
+// corrupts resident memory just as well as a running kernel). Admission
+// order keeps the choice deterministic.
 func (m *Manager) transientVictim(dev device.ID) *jobState {
 	if dev.Kind == device.KindGPU && dev.Index < len(m.arbs) {
-		if arb := m.arbs[dev.Index]; arb.owner != nil &&
-			!arb.owner.stopped && !arb.owner.job.Crashed() && !arb.owner.restarting {
-			return arb.owner
+		if owner := m.arbs[dev.Index].owner; owner != nil && owner.live() && owner.phase != restarting {
+			return owner
 		}
 	}
 	for _, js := range m.jobs {
-		if js.stopped || js.job.Crashed() || js.restarting {
+		if !js.live() || js.phase == restarting || !js.job.Binding().Uses(dev) {
 			continue
 		}
-		if js.job.Elastic() {
-			// An elastic job is exposed on every device its binding touches,
-			// not just its primary.
-			if js.job.Binding().Uses(dev) || js.job.WeightsOn(dev) {
+		if js.job.ComputeRunning || js.job.WeightsOn(dev) {
+			return js
+		}
+		for _, sh := range js.shards {
+			if sh.run != nil {
 				return js
 			}
-			continue
-		}
-		if js.current != dev {
-			continue
-		}
-		if js.job.ComputeRunning || js.computeRun != nil || js.job.WeightsOn(dev) {
-			return js
 		}
 	}
 	return nil
-}
-
-// purgeRequests removes a job's pending grant requests from every
-// arbiter so a grant cannot fire into a restarting job and stall the
-// device for the backoff window.
-func (m *Manager) purgeRequests(js *jobState) {
-	if !js.waiting {
-		return
-	}
-	for _, arb := range m.arbs {
-		kept := arb.queue[:0]
-		for _, req := range arb.queue {
-			if req.js != js {
-				kept = append(kept, req)
-			}
-		}
-		for i := len(kept); i < len(arb.queue); i++ {
-			arb.queue[i] = nil
-		}
-		arb.queue = kept
-	}
-	js.waiting = false
 }
 
 // scheduleCheckpoint arms the next periodic host checkpoint for a
@@ -305,12 +315,13 @@ func (m *Manager) scheduleCheckpoint(js *jobState) {
 // snapshot is durable (RecordCheckpoint) once the transfer lands; faults
 // striking mid-transfer leave the previous checkpoint in force.
 func (m *Manager) takeCheckpoint(js *jobState) {
-	if js.stopped || js.job.Crashed() {
+	if !js.live() {
 		return
 	}
+	dev := js.dev()
 	bytes := js.job.CheckpointBytes()
-	onGPU := js.current.Kind == device.KindGPU && m.machine.Healthy(js.current) &&
-		!js.checkpointed && js.weightsReady
+	onGPU := dev.Kind == device.KindGPU && m.machine.Healthy(dev) &&
+		js.phase != checkpointed && js.weightsReady
 	if bytes == 0 || !onGPU {
 		// State already host-resident (CPU placement, Gandiva checkpoint-out,
 		// or mid-restore) — the snapshot is free.
@@ -319,10 +330,10 @@ func (m *Manager) takeCheckpoint(js *jobState) {
 		m.scheduleCheckpoint(js)
 		return
 	}
-	d2h := m.machine.DeviceToHost(js.current.Index)
+	d2h := m.machine.DeviceToHost(dev.Index)
 	epoch := js.epoch
 	d2h.Transfer(bytes, js.job.Cfg.Model.WeightVars(), func() {
-		if js.stopped || js.job.Crashed() {
+		if !js.live() {
 			return
 		}
 		if js.epoch == epoch {
@@ -350,7 +361,7 @@ func (m *Manager) emitCheckpoint(js *jobState) {
 		Kind:   obs.KindCheckpoint,
 		Ctx:    js.job.Ctx,
 		Job:    js.job.Cfg.Name,
-		Device: js.current.String(),
+		Device: js.dev().String(),
 		Name:   "periodic",
 	})
 }

@@ -11,7 +11,9 @@ import (
 // Listing 1): the master's CPU preprocessing stage runs once per batch,
 // the processed tensor is cached immutably on the GPU, and every member's
 // GPU executor consumes it in lockstep round-robin before the group moves
-// to the next batch.
+// to the next batch. Members run through the shard pump like every job;
+// their input gate is the group's stage, so a preempted member stays
+// suspended in its turn and never starts an input stage of its own.
 type Group struct {
 	m       *Manager
 	members []*jobState
@@ -49,17 +51,13 @@ func (m *Manager) AddSharedGroup(cfgs []workload.Config) (*Group, []*workload.Jo
 	g := &Group{m: m, depth: 2}
 	var jobs []*workload.Job
 	for _, cfg := range cfgs {
-		m.ctxSeq++
-		job, err := workload.NewJob(m.eng, m.machine, m.ctxSeq, cfg)
+		js, err := m.admit(cfg, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := job.AllocWeights(cfg.Device); err != nil {
-			return nil, nil, fmt.Errorf("core: admit %s: %w", cfg.Name, err)
-		}
-		js := &jobState{job: job, current: cfg.Device, weightsReady: true}
+		js.group = g
 		g.members = append(g.members, js)
-		jobs = append(jobs, job)
+		jobs = append(jobs, js.job)
 	}
 	m.groups = append(m.groups, g)
 	m.eng.After(0, g.pump)
@@ -86,7 +84,7 @@ func (g *Group) pump() {
 		return
 	}
 	g.pumpInput()
-	g.pumpCompute()
+	g.pumpTurn()
 }
 
 func (g *Group) pumpInput() {
@@ -94,10 +92,11 @@ func (g *Group) pumpInput() {
 		return
 	}
 	master := g.members[0]
-	v, err := master.job.Version(master.current)
+	dev := master.dev()
+	v, err := master.job.Version(dev)
 	if err != nil {
 		master.job.Crash(err)
-		g.m.emitJobLost(master, master.current, "no graph version")
+		g.m.emitJobLost(master, dev, "no graph version")
 		return
 	}
 	if v.Input == nil {
@@ -112,14 +111,14 @@ func (g *Group) pumpInput() {
 	})
 	if err != nil {
 		master.job.Crash(err)
-		g.m.emitJobLost(master, master.current, "input start failed")
+		g.m.emitJobLost(master, dev, "input start failed")
 		g.inputRunning = false
 	}
 }
 
-// pumpCompute runs the next member's GPU executor on the cached batch.
-// A batch is consumed once every member has processed it.
-func (g *Group) pumpCompute() {
+// pumpTurn hands the cached batch to the member whose turn it is and
+// pumps it. A batch is consumed once every member has processed it.
+func (g *Group) pumpTurn() {
 	if g.busy || g.inputReady == 0 {
 		return
 	}
@@ -129,47 +128,13 @@ func (g *Group) pumpCompute() {
 		return
 	}
 	g.busy = true
-	dev := js.current
-	js.acquiredAt = g.m.eng.Now()
-	g.m.acquire(dev.Index, js, func() {
-		js.holding = true
-		g.runMember(js)
-	})
+	js.job.SupplyInput()
+	g.m.pump(js)
 }
 
-func (g *Group) runMember(js *jobState) {
-	v, err := js.job.Version(js.current)
-	if err != nil {
-		g.memberFailed(js, err)
-		return
-	}
-	if err := js.job.AllocIntermediate(js.current); err != nil {
-		g.memberFailed(js, err)
-		return
-	}
-	cfg := executor.Config{Pool: g.m.global, Stream: js.job.Stream(js.current)}
-	run, err := js.job.StartExec(v.Compute, cfg, func() {
-		js.computeRun = nil
-		js.job.FreeIntermediate(js.current)
-		js.job.Iterations++
-		js.holding = false
-		g.m.release(js.current.Index)
-		g.busy = false
-		g.advanceTurn()
-	})
-	if err != nil {
-		js.job.FreeIntermediate(js.current)
-		g.memberFailed(js, err)
-		return
-	}
-	js.computeRun = run
-}
-
-func (g *Group) memberFailed(js *jobState, err error) {
-	js.job.Crash(err)
-	g.m.emitJobLost(js, js.current, "coupled member failed")
-	js.holding = false
-	g.m.release(js.current.Index)
+// memberDone ends the current member's turn (its step completed or it
+// failed).
+func (g *Group) memberDone() {
 	g.busy = false
 	g.advanceTurn()
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"switchflow/internal/device"
-	"switchflow/internal/executor"
 	"switchflow/internal/metrics"
 	"switchflow/internal/obs"
 	"switchflow/internal/sim"
@@ -61,16 +60,16 @@ type Manager struct {
 	eng     *sim.Engine
 	machine *device.Machine
 	opts    Options
-	global *threadpool.Pool
-	temp   *threadpool.Pool
+	global  *threadpool.Pool
+	temp    *threadpool.Pool
 	// arbs holds one arbiter per GPU, indexed by GPU index. It is a slice,
 	// not a map, so every sweep over the arbiters (fault recovery, request
 	// purging) runs in ascending device order — map iteration order is
 	// randomized and would leak into grant sequencing.
-	arbs []*arbiter
-	jobs []*jobState
-	groups  []*Group
-	ctxSeq  int
+	arbs   []*arbiter
+	jobs   []*jobState
+	groups []*Group
+	ctxSeq int
 	// grantSeq orders grant requests FIFO within a priority class. It is
 	// per-manager, not package-level, so concurrent experiment cells never
 	// share it (and one cell's request order can never leak into another).
@@ -94,43 +93,6 @@ type Manager struct {
 	// those events instead of being hand-incremented per call site.
 	bus    *obs.Bus
 	faults metrics.FaultSink
-}
-
-type jobState struct {
-	job          *workload.Job
-	current      device.ID
-	weightsReady bool
-	inTempPool   bool
-	holding      bool
-	waiting      bool
-	preempting   bool
-	stopped      bool
-	computeRun   *executor.Run
-	acquiredAt   time.Duration
-
-	// Checkpoint-preemption state (Options.CheckpointPreemption).
-	checkpointRequested bool
-	checkpointed        bool
-	restoring           bool
-
-	// Fault-recovery state: restarting gates the pump during a restart
-	// backoff window; epoch invalidates stale transfer callbacks after a
-	// fault yanks the job off its device mid-flight.
-	restarting bool
-	epoch      int
-
-	// Elastic state (jobs admitted with Config.VNodes): one shard per
-	// virtual node of the current binding, plus binding mutations queued
-	// for the next epoch-safe point.
-	shards     []*shardState
-	pendingOps []func()
-
-	// Gang state (Config.Gang): gangPreempting gates the pump while the
-	// whole gang is being suspended; gangSuspended marks a displaced gang
-	// whose next full re-hold must emit KindGangResume before any replica
-	// restarts.
-	gangPreempting bool
-	gangSuspended  bool
 }
 
 // NewManager creates a SwitchFlow manager over the machine. The global
@@ -180,44 +142,15 @@ func (m *Manager) TempPool() *threadpool.Pool { return m.temp }
 // when the aggregate weights of collocated models exceed GPU memory —
 // SwitchFlow's OOM-freedom contract (§3.4).
 func (m *Manager) AddJob(cfg workload.Config) (*workload.Job, error) {
-	m.ctxSeq++
 	if m.opts.DisableDynamicBatching {
 		cfg.MaxBatch = 0
 		cfg.BatchWait = 0
 	}
-	job, err := workload.NewJob(m.eng, m.machine, m.ctxSeq, cfg)
+	js, err := m.admit(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	if job.Elastic() {
-		// One full data-parallel weight replica per distinct bound device;
-		// admission fails atomically when any replica does not fit.
-		placed := make([]device.ID, 0, len(job.Binding().Devices()))
-		for _, dev := range job.Binding().Devices() {
-			if err := job.AllocWeights(dev); err != nil {
-				for _, d := range placed {
-					job.FreeWeights(d)
-				}
-				return nil, fmt.Errorf("core: admit %s: replica on %v: %w", cfg.Name, dev, err)
-			}
-			placed = append(placed, dev)
-		}
-	} else if err := job.AllocWeights(cfg.Device); err != nil {
-		return nil, fmt.Errorf("core: admit %s: %w", cfg.Name, err)
-	}
-	js := &jobState{job: job, current: cfg.Device, weightsReady: true}
-	if job.Elastic() {
-		m.rebuildShards(js)
-		for i := 0; i < job.Binding().Len(); i++ {
-			m.bus.Emit(obs.Event{
-				Kind:   obs.KindBind,
-				Ctx:    job.Ctx,
-				Job:    cfg.Name,
-				Device: job.Binding().Node(i).Device.String(),
-				Count:  i,
-			})
-		}
-	}
+	job := js.job
 	m.jobs = append(m.jobs, js)
 	job.StartArrivals(func() { m.pump(js) })
 	m.eng.After(0, func() { m.pump(js) })
@@ -230,362 +163,54 @@ func (m *Manager) AddJob(cfg workload.Config) (*workload.Job, error) {
 	return job, nil
 }
 
+// admit builds a job and allocates one full data-parallel weight replica
+// per distinct bound device; admission fails atomically when any replica
+// does not fit.
+func (m *Manager) admit(cfg workload.Config, member bool) (*jobState, error) {
+	m.ctxSeq++
+	job, err := workload.NewJob(m.eng, m.machine, m.ctxSeq, cfg)
+	if err != nil {
+		return nil, err
+	}
+	devs := job.Binding().Devices()
+	for i, dev := range devs {
+		if err := job.AllocWeights(dev); err != nil {
+			for _, d := range devs[:i] {
+				job.FreeWeights(d)
+			}
+			return nil, fmt.Errorf("core: admit %s: replica on %v: %w", cfg.Name, dev, err)
+		}
+	}
+	js := m.newJobState(job, member)
+	if !js.pol.whole {
+		for i := 0; i < job.Binding().Len(); i++ {
+			m.bus.Emit(obs.Event{
+				Kind:   obs.KindBind,
+				Ctx:    job.Ctx,
+				Job:    cfg.Name,
+				Device: job.Binding().Node(i).Device.String(),
+				Count:  i,
+			})
+		}
+	}
+	return js, nil
+}
+
 // StopJob halts a job's loop after its in-flight stages complete.
 func (m *Manager) StopJob(job *workload.Job) {
-	for _, js := range m.jobs {
-		if js.job == job {
-			js.stopped = true
-			job.StopArrivals()
-			return
+	if js := m.stateOf(job); js != nil {
+		if js.phase != stopped {
+			js.to(stopped)
 		}
+		job.StopArrivals()
 	}
 }
 
-// JobDevice reports the device a job currently runs on.
+// JobDevice reports the device a job currently runs on (its first
+// vnode's).
 func (m *Manager) JobDevice(job *workload.Job) device.ID {
-	for _, js := range m.jobs {
-		if js.job == job {
-			return js.current
-		}
+	if js := m.stateOf(job); js != nil {
+		return js.dev()
 	}
 	return device.ID{}
-}
-
-// pump advances a job's pipeline; it is called on every relevant state
-// change and is idempotent.
-func (m *Manager) pump(js *jobState) {
-	if js.stopped || js.job.Crashed() || js.preempting || js.restarting {
-		return
-	}
-	if js.job.Elastic() {
-		// Elastic jobs fan each step out across their virtual-node shards;
-		// input stays the free-CPU-executor path (invariant 2 is about CPU
-		// stages, which vnodes do not change).
-		m.pumpInput(js)
-		m.pumpShards(js)
-		return
-	}
-	if m.opts.DisableFreeCPUExecutors {
-		m.pumpCoupled(js)
-		return
-	}
-	m.pumpInput(js)
-	m.pumpCompute(js)
-}
-
-// pumpInput starts the CPU input stage whenever a prefetch slot is free —
-// invariant 2: CPU executors run without restriction (§3.4).
-func (m *Manager) pumpInput(js *jobState) {
-	if m.eng.Now() < m.stallUntil {
-		return // input pipelines stalled; handleInputStall re-pumps
-	}
-	v, err := js.job.Version(js.current)
-	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
-		return
-	}
-	if v.Input == nil {
-		// All-CPU placement: the compute subgraph includes preprocessing;
-		// input slots fill instantly.
-		if js.job.CanStartInput() {
-			js.job.BeginInput()
-			js.job.FinishInput()
-		}
-		return
-	}
-	pool := m.poolFor(js)
-	for js.job.CanStartInput() {
-		js.job.BeginInput()
-		_, err := js.job.StartExec(v.Input, executor.Config{Pool: pool}, func() {
-			js.job.FinishInput()
-			m.pump(js)
-		})
-		if err != nil {
-			js.job.Crash(err)
-			m.emitJobLost(js, js.current, "input start failed")
-			return
-		}
-	}
-}
-
-// pumpCompute starts (or resumes) the compute stage when work is ready,
-// acquiring the GPU arbiter first — invariant 1 (§3.4).
-func (m *Manager) pumpCompute(js *jobState) {
-	if !js.weightsReady && !js.checkpointed {
-		return
-	}
-	if js.restoring {
-		return
-	}
-	resumable := js.computeRun != nil && js.computeRun.Suspended()
-	if js.job.ComputeRunning && !resumable {
-		return
-	}
-	if !js.job.ComputeRunning && !js.job.InputAvailable() {
-		return
-	}
-	if !js.job.ComputeRunning && js.job.HoldForBatch() {
-		// The micro-batch is still filling; the batch-wait timer (or the
-		// next ready input) re-pumps by the deadline.
-		return
-	}
-	if js.current.Kind != device.KindGPU || m.opts.DisableGPUExclusive {
-		m.startCompute(js)
-		return
-	}
-	if js.holding {
-		m.startCompute(js)
-		return
-	}
-	if js.waiting {
-		return
-	}
-	js.waiting = true
-	js.acquiredAt = m.eng.Now()
-	m.acquire(js.current.Index, js, func() {
-		js.waiting = false
-		js.holding = true
-		m.pump(js)
-	})
-}
-
-// pumpCoupled is the DisableFreeCPUExecutors ablation: input and compute
-// run back-to-back under the GPU grant, like session-based time slicing.
-func (m *Manager) pumpCoupled(js *jobState) {
-	if !js.weightsReady {
-		return
-	}
-	// A preempted session resumes through the normal compute path.
-	if js.computeRun != nil && js.computeRun.Suspended() {
-		m.pumpCompute(js)
-		return
-	}
-	if js.job.ComputeRunning || js.job.InputsInFlight > 0 || !js.job.HasWork() {
-		return
-	}
-	if m.eng.Now() < m.stallUntil {
-		return // coupled sessions start with input; stalled like pumpInput
-	}
-	if js.current.Kind != device.KindGPU {
-		m.pumpInput(js)
-		m.pumpCompute(js)
-		return
-	}
-	if js.holding || js.waiting {
-		return
-	}
-	js.waiting = true
-	js.acquiredAt = m.eng.Now()
-	m.acquire(js.current.Index, js, func() {
-		js.waiting = false
-		js.holding = true
-		m.runCoupledSession(js)
-	})
-}
-
-func (m *Manager) runCoupledSession(js *jobState) {
-	v, err := js.job.Version(js.current)
-	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
-		m.releaseFrom(js)
-		return
-	}
-	if !js.job.CanStartInput() && !js.job.InputAvailable() {
-		m.releaseFrom(js)
-		return
-	}
-	if js.job.CanStartInput() {
-		js.job.BeginInput()
-		if v.Input == nil {
-			js.job.FinishInput()
-			m.startCompute(js)
-			return
-		}
-		_, err := js.job.StartExec(v.Input, executor.Config{Pool: m.poolFor(js)}, func() {
-			js.job.FinishInput()
-			m.startCompute(js)
-		})
-		if err != nil {
-			js.job.Crash(err)
-			m.emitJobLost(js, js.current, "input start failed")
-			m.releaseFrom(js)
-			return
-		}
-		return
-	}
-	m.startCompute(js)
-}
-
-// startCompute runs the compute subgraph on the current device, resuming
-// a suspended session run if one is pending and restoring a checkpoint
-// first when the job was checkpointed out.
-func (m *Manager) startCompute(js *jobState) {
-	if js.checkpointed {
-		m.restoreCheckpoint(js)
-		return
-	}
-	if js.computeRun != nil && js.computeRun.Suspended() {
-		if err := js.job.AllocIntermediate(js.current); err != nil {
-			js.job.Crash(err)
-			m.emitJobLost(js, js.current, "intermediate alloc failed")
-			m.releaseFrom(js)
-			return
-		}
-		m.bus.Emit(obs.Event{
-			Kind:   obs.KindResume,
-			Ctx:    js.job.Ctx,
-			Job:    js.job.Cfg.Name,
-			Device: js.current.String(),
-		})
-		js.computeRun.Resume()
-		return
-	}
-	v, err := js.job.NextComputeVersion(js.current)
-	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
-		m.releaseFrom(js)
-		return
-	}
-	if err := js.job.AllocIntermediate(js.current); err != nil {
-		// Cannot happen under the exclusivity invariant unless a single
-		// job exceeds the device by itself.
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "intermediate alloc failed")
-		m.releaseFrom(js)
-		return
-	}
-	js.job.BeginCompute()
-	cfg := executor.Config{Pool: m.poolFor(js), Stream: js.job.Stream(js.current)}
-	run, err := js.job.StartExec(v.Compute, cfg, func() {
-		js.computeRun = nil
-		js.job.FreeIntermediate(js.current)
-		js.job.FinishCompute()
-		// Regaining a full iteration on the GPU completes any pending
-		// "stay" preemption recovery: back to the global pool.
-		if js.current.Kind == device.KindGPU {
-			js.inTempPool = false
-		}
-		m.afterCompute(js)
-	})
-	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "compute start failed")
-		js.job.FreeIntermediate(js.current)
-		m.releaseFrom(js)
-		return
-	}
-	js.computeRun = run
-}
-
-// poolFor returns the inter-op pool a job's tasks go to: the temporary
-// pool while the job is being isolated after preemption or while it runs
-// on CPU.
-func (m *Manager) poolFor(js *jobState) *threadpool.Pool {
-	if m.opts.DisableTempPoolIsolation {
-		return m.global
-	}
-	if js.inTempPool || js.current.Kind == device.KindCPU {
-		return m.temp
-	}
-	return m.global
-}
-
-// afterCompute runs the post-iteration path: under checkpoint preemption
-// a requested checkpoint streams the job's state to host memory before
-// the GPU is released (Gandiva's suspend path, §6); otherwise the GPU is
-// released immediately.
-func (m *Manager) afterCompute(js *jobState) {
-	if js.checkpointRequested && js.current.Kind == device.KindGPU {
-		js.checkpointRequested = false
-		from := js.current
-		epoch := js.epoch
-		d2h := m.machine.DeviceToHost(from.Index)
-		d2h.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), func() {
-			js.job.FreeWeights(from)
-			if js.epoch != epoch {
-				return // a fault already relocated the job mid-transfer
-			}
-			m.bus.Emit(obs.Event{
-				Kind:   obs.KindCheckpoint,
-				Ctx:    js.job.Ctx,
-				Job:    js.job.Cfg.Name,
-				Device: from.String(),
-				Name:   "preempt",
-			})
-			js.checkpointed = true
-			js.weightsReady = false
-			m.releaseFrom(js)
-			m.pump(js)
-		})
-		return
-	}
-	m.releaseFrom(js)
-	// A legacy job's epoch-safe point is right here, between iterations
-	// with the grant released: apply any queued binding ops (drain
-	// migrations) before pumping the next iteration.
-	m.applyPendingOps(js)
-	m.pump(js)
-}
-
-// restoreCheckpoint streams a checkpointed job's state back onto the GPU
-// it just re-acquired, then starts its compute. The restore occupies the
-// grant — Gandiva's resume cost.
-func (m *Manager) restoreCheckpoint(js *jobState) {
-	if js.restoring {
-		return
-	}
-	js.restoring = true
-	if err := js.job.AllocWeights(js.current); err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "restore allocation failed")
-		js.restoring = false
-		m.releaseFrom(js)
-		return
-	}
-	epoch := js.epoch
-	h2d := m.machine.HostToDevice(js.current.Index)
-	h2d.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), func() {
-		if js.epoch != epoch {
-			return // a fault already relocated the job mid-transfer
-		}
-		m.bus.Emit(obs.Event{
-			Kind:   obs.KindRestore,
-			Ctx:    js.job.Ctx,
-			Job:    js.job.Cfg.Name,
-			Device: js.current.String(),
-			Name:   "preempt",
-		})
-		js.restoring = false
-		js.checkpointed = false
-		js.weightsReady = true
-		m.pump(js)
-	})
-}
-
-func (m *Manager) releaseFrom(js *jobState) {
-	if !js.holding {
-		return
-	}
-	js.holding = false
-	m.release(js.current.Index)
-}
-
-// DebugJobState renders a job's scheduler state for test diagnostics.
-func (m *Manager) DebugJobState(job *workload.Job) string {
-	for _, js := range m.jobs {
-		if js.job == job {
-			suspended := js.computeRun != nil && js.computeRun.Suspended()
-			done, total := 0, 0
-			if js.computeRun != nil {
-				done, total = js.computeRun.Progress()
-			}
-			return fmt.Sprintf("holding=%v waiting=%v preempting=%v temp=%v run=%v suspended=%v progress=%d/%d",
-				js.holding, js.waiting, js.preempting, js.inTempPool,
-				js.computeRun != nil, suspended, done, total)
-		}
-	}
-	return "?"
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -296,32 +297,63 @@ func TestPreemptedJobFallsBackToCPU(t *testing.T) {
 }
 
 func TestSharedInputGroupLockstep(t *testing.T) {
-	eng, _, m := newHarness(t, Options{}, device.ClassV100)
-	cfg := func(name string) workload.Config {
-		return workload.Config{
-			Name:   name,
-			Model:  spec(t, "ResNet50"),
-			Batch:  32,
-			Kind:   workload.KindServing,
-			Device: device.GPUID(0),
-		}
-	}
-	group, jobs, err := m.AddSharedGroup([]workload.Config{cfg("m0"), cfg("m1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(30 * time.Second)
-	counts := group.Iterations()
-	if counts[0] == 0 {
-		t.Fatal("group made no progress")
-	}
-	if diff := counts[0] - counts[1]; diff < 0 || diff > 1 {
-		t.Fatalf("lockstep violated: iterations %v", counts)
-	}
-	for _, job := range jobs {
-		if job.Crashed() {
-			t.Fatalf("group member crashed: %v", job.CrashErr)
-		}
+	for _, tc := range []struct {
+		name      string
+		kind      workload.Kind
+		preempter bool
+	}{
+		{name: "alone", kind: workload.KindServing},
+		// A higher-priority server repeatedly preempts whichever member
+		// holds the GPU; a preempted member must stay suspended in its
+		// turn and resume through the group, never run input of its own.
+		{name: "preempted", kind: workload.KindTraining, preempter: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _, m := newHarness(t, Options{}, device.ClassV100)
+			cfg := func(name string) workload.Config {
+				return workload.Config{
+					Name:   name,
+					Model:  spec(t, "ResNet50"),
+					Batch:  32,
+					Kind:   tc.kind,
+					Device: device.GPUID(0),
+				}
+			}
+			group, jobs, err := m.AddSharedGroup([]workload.Config{cfg("m0"), cfg("m1")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			horizon := 30 * time.Second
+			if tc.preempter {
+				horizon = 20 * time.Second
+				if _, err := m.AddJob(workload.Config{
+					Name: "serve", Model: spec(t, "MobileNetV2"), Batch: 1,
+					Kind: workload.KindServing, Priority: 5, Device: device.GPUID(0),
+					ArrivalEvery: 50 * time.Millisecond,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.RunUntil(horizon)
+			counts := group.Iterations()
+			if counts[0] == 0 {
+				t.Fatal("group made no progress")
+			}
+			if diff := counts[0] - counts[1]; diff < 0 || diff > 1 {
+				t.Fatalf("lockstep violated: iterations %v after %d preemptions", counts, m.Preemptions)
+			}
+			if tc.preempter && m.Preemptions == 0 {
+				t.Fatal("the server never preempted a member")
+			}
+			for _, job := range jobs {
+				if job.Crashed() {
+					t.Fatalf("group member crashed: %v", job.CrashErr)
+				}
+				if st := m.DebugJobState(job); !strings.HasPrefix(st, "phase=") {
+					t.Fatalf("DebugJobState(%s) = %q, want the member's state", job.Cfg.Name, st)
+				}
+			}
+		})
 	}
 }
 

@@ -579,6 +579,10 @@ func (j *Job) FinishInput() {
 	}
 }
 
+// SupplyInput marks one input as prefetched and ready without running
+// the job's own input stage: a shared-input group's stage delivered it.
+func (j *Job) SupplyInput() { j.inputReady++ }
+
 // InputAvailable reports whether a prefetched input is waiting.
 func (j *Job) InputAvailable() bool { return j.inputReady > 0 }
 

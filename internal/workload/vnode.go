@@ -24,13 +24,12 @@ type shardKey struct {
 }
 
 // Elastic reports whether the job runs on explicit virtual nodes (it was
-// admitted with Config.VNodes). Elastic jobs are driven by the shard
-// scheduler path; everything else keeps the legacy single-device path
-// byte-for-byte.
+// admitted with Config.VNodes) and so may be resized and rebound.
 func (j *Job) Elastic() bool { return len(j.Cfg.VNodes) > 0 }
 
-// Binding returns the job's current virtual-node binding. Legacy jobs
-// report a single implicit vnode covering the whole batch on Device.
+// Binding returns the job's current virtual-node binding. Non-elastic
+// jobs report a single implicit vnode covering the whole batch on the
+// device they currently run on.
 func (j *Job) Binding() vnode.Binding { return j.binding }
 
 // SetBinding installs a new binding. Callers (the scheduler core) must
@@ -76,23 +75,33 @@ func (j *Job) shardVersion(dev device.ID, samples int) (*Version, error) {
 	return v, nil
 }
 
-// VNodeVersion returns the compute graph version of vnode i under the
-// current binding, sized to the vnode's batch share.
+// VNodeVersion returns the compute graph version vnode i's next launch
+// runs. A whole-batch vnode (every non-elastic job's implicit single
+// vnode) is sized to the micro-batch that launch consumes, exactly as
+// NextComputeVersion; a share-sized vnode to its batch share.
 func (j *Job) VNodeVersion(i int) (*Version, error) {
 	if i < 0 || i >= j.binding.Len() {
 		return nil, fmt.Errorf("workload: job %q: vnode %d out of range (%d vnodes)", j.Cfg.Name, i, j.binding.Len())
 	}
 	n := j.binding.Node(i)
+	if n.Share == j.Cfg.Batch {
+		return j.NextComputeVersion(n.Device)
+	}
 	return j.shardVersion(n.Device, n.Share)
 }
 
 // VNodeScratchBytes is the per-step intermediate footprint of vnode i's
-// shard: activations sized to the share, not the global batch.
+// next launch: activations sized like VNodeVersion — the launch's
+// micro-batch for a whole-batch vnode, the share otherwise.
 func (j *Job) VNodeScratchBytes(i int) int64 {
 	if i < 0 || i >= j.binding.Len() {
 		return 0
 	}
-	return j.Cfg.Model.IntermediateBytes(j.binding.Node(i).Share, j.Training())
+	n := j.binding.Node(i)
+	if n.Share == j.Cfg.Batch {
+		return j.Cfg.Model.IntermediateBytes(j.computeBatchSize()*j.Cfg.Batch, j.Training())
+	}
+	return j.Cfg.Model.IntermediateBytes(n.Share, j.Training())
 }
 
 // AllocScratchBytes reserves n bytes of iteration scratch on dev,

@@ -154,11 +154,6 @@ type Placement struct {
 	VNodes []int
 }
 
-// isZero reports whether the placement was left entirely unset.
-func (p Placement) isZero() bool {
-	return p.Device == 0 && p.Fallbacks == nil && !p.AllowCPU && p.VNodes == nil
-}
-
 // JobSpec describes a DL job for any scheduler.
 type JobSpec struct {
 	// Name labels the job.
@@ -172,8 +167,7 @@ type JobSpec struct {
 	// Priority orders jobs for SwitchFlow preemption (higher wins).
 	Priority int
 	// Placement says where the job runs (primary device, fallbacks,
-	// virtual nodes). It supersedes GPU/FallbackGPUs/FallbackCPU; setting
-	// both is rejected by Validate.
+	// virtual nodes).
 	Placement Placement
 	// Gang makes an elastic training job a synchronous data-parallel
 	// gang: one replica per virtual node on a distinct GPU, computing its
@@ -187,18 +181,6 @@ type JobSpec struct {
 	// replicas land on consecutive GPUs starting at Placement.Device;
 	// with VNodes set it must be zero or match their count.
 	Replicas int
-	// GPU is the preferred GPU index.
-	//
-	// Deprecated: set Placement.Device instead.
-	GPU int
-	// FallbackGPUs are migration targets in preference order.
-	//
-	// Deprecated: set Placement.Fallbacks instead.
-	FallbackGPUs []int
-	// FallbackCPU appends the CPU as the last migration target.
-	//
-	// Deprecated: set Placement.AllowCPU instead.
-	FallbackCPU bool
 	// ServeEvery sets an open-loop inference arrival period.
 	ServeEvery time.Duration
 	// ClosedLoop makes the inference stream continuous (next request on
@@ -238,26 +220,14 @@ type JobSpec struct {
 // with errors.Is.
 var ErrInvalidJobSpec = errors.New("invalid job spec")
 
-// placement normalizes the spec's placement: the deprecated
-// GPU/FallbackGPUs/FallbackCPU shims lower into a Placement value, an
-// explicit Placement passes through (VNodes[0] filling an unset Device),
-// and mixing the two styles is rejected.
-func (spec JobSpec) placement() (Placement, error) {
-	if spec.Placement.isZero() {
-		return spec.gangPlacement(Placement{
-			Device:    spec.GPU,
-			Fallbacks: spec.FallbackGPUs,
-			AllowCPU:  spec.FallbackCPU,
-		}), nil
-	}
-	if spec.GPU != 0 || spec.FallbackGPUs != nil || spec.FallbackCPU {
-		return Placement{}, fmt.Errorf("%w: set either Placement or the deprecated GPU/FallbackGPUs/FallbackCPU fields, not both", ErrInvalidJobSpec)
-	}
+// placement normalizes the spec's placement: VNodes[0] fills an unset
+// Device, and a gang without VNodes materializes its replicas.
+func (spec JobSpec) placement() Placement {
 	p := spec.Placement
 	if len(p.VNodes) > 0 && p.Device == 0 {
 		p.Device = p.VNodes[0]
 	}
-	return spec.gangPlacement(p), nil
+	return spec.gangPlacement(p)
 }
 
 // gangPlacement materializes a gang spec's replica set: when the spec
@@ -274,9 +244,7 @@ func (spec JobSpec) gangPlacement(p Placement) Placement {
 	return p
 }
 
-// validatePlacement checks an explicit (non-shim) Placement. The legacy
-// shim path keeps its original, looser checks so old specs behave
-// byte-identically.
+// validatePlacement checks the normalized Placement.
 func (spec JobSpec) validatePlacement(p Placement) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidJobSpec, fmt.Sprintf(format, args...))
@@ -370,20 +338,8 @@ func (spec JobSpec) Validate() error {
 	if _, err := models.ByName(spec.Model); err != nil {
 		return fail("%v", err)
 	}
-	p, err := spec.placement()
-	if err != nil {
-		return err
-	}
-	if spec.Placement.isZero() {
-		if spec.GPU < 0 {
-			return fail("GPU index must be non-negative, got %d", spec.GPU)
-		}
-		for _, g := range spec.FallbackGPUs {
-			if g < 0 {
-				return fail("fallback GPU index must be non-negative, got %d", g)
-			}
-		}
-	} else if err := spec.validatePlacement(p); err != nil {
+	p := spec.placement()
+	if err := spec.validatePlacement(p); err != nil {
 		return err
 	}
 	if err := spec.validateGang(p); err != nil {
@@ -443,10 +399,7 @@ func (spec JobSpec) toConfig() (workload.Config, error) {
 	if spec.Train {
 		kind = workload.KindTraining
 	}
-	p, err := spec.placement()
-	if err != nil {
-		return workload.Config{}, err
-	}
+	p := spec.placement()
 	dev := device.GPUID(p.Device)
 	if p.Device == CPUDevice {
 		dev = device.CPUID

@@ -128,14 +128,15 @@ func TestPublicAPIMigration(t *testing.T) {
 	sched := newSwitchFlow(t, sim)
 	low, err := sched.AddJob(switchflow.JobSpec{
 		Name: "low", Model: "ResNet50", Batch: 32, Train: true, Priority: 1,
-		GPU: 1, FallbackGPUs: []int{0}, FallbackCPU: true,
+		Placement: switchflow.Placement{Device: 1, Fallbacks: []int{0}, AllowCPU: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.RunFor(2 * time.Second)
 	if _, err := sched.AddJob(switchflow.JobSpec{
-		Name: "high", Model: "VGG16", Batch: 32, Train: true, Priority: 2, GPU: 1,
+		Name: "high", Model: "VGG16", Batch: 32, Train: true, Priority: 2,
+		Placement: switchflow.Placement{Device: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
