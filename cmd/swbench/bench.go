@@ -69,6 +69,9 @@ type macroResult struct {
 	// identical in serial and sharded modes.
 	ShardMaxMean float64 `json:"shard_max_mean"`
 	ShardMinMean float64 `json:"shard_min_mean"`
+	// AllocsPerEvent is heap allocations (the runtime's Mallocs delta
+	// around the advance, all goroutines) per engine event fired.
+	AllocsPerEvent float64 `json:"allocs_per_event"`
 }
 
 type benchOpts struct {
@@ -112,25 +115,26 @@ func engineBench(opts benchOpts) error {
 	}
 
 	header(os.Stdout, "Fleet macro: serial vs sharded epoch advance")
-	fmt.Printf("%-8s %8s %10s %12s %12s %9s %9s %9s\n",
-		"name", "nodes", "mode", "wall s", "events", "kev/s", "max/mean", "min/mean")
+	fmt.Printf("%-8s %8s %10s %12s %12s %9s %9s %9s %10s\n",
+		"name", "nodes", "mode", "wall s", "events", "kev/s", "max/mean", "min/mean", "allocs/ev")
 	for _, nodes := range fleets {
 		for _, mode := range []string{"serial", "sharded"} {
 			workers := 1
 			if mode == "sharded" {
 				workers = runtime.GOMAXPROCS(0)
 			}
-			wall, fired, maxMean, minMean := fleetMacro(nodes, workers, horizon)
+			wall, fired, mallocs, maxMean, minMean := fleetMacro(nodes, workers, horizon)
 			m := macroResult{
 				Name: "fleet", Nodes: nodes, Mode: mode,
 				WallSec: wall.Seconds(), Events: fired,
 				EventsPerS:   float64(fired) / wall.Seconds(),
 				ShardMaxMean: maxMean, ShardMinMean: minMean,
+				AllocsPerEvent: float64(mallocs) / float64(fired),
 			}
 			report.Macro = append(report.Macro, m)
-			fmt.Printf("%-8s %8d %10s %12.3f %12d %9.1f %9.3f %9.3f\n",
+			fmt.Printf("%-8s %8d %10s %12.3f %12d %9.1f %9.3f %9.3f %10.3f\n",
 				m.Name, m.Nodes, m.Mode, m.WallSec, m.Events, m.EventsPerS/1e3,
-				m.ShardMaxMean, m.ShardMinMean)
+				m.ShardMaxMean, m.ShardMinMean, m.AllocsPerEvent)
 		}
 	}
 
@@ -307,9 +311,10 @@ func benchStormHeap(depth, iters int) (time.Duration, float64) {
 
 // fleetMacro advances a collocated training+serving fleet to the horizon
 // with the given worker count and reports wall time, total engine events
-// fired across the nodes, and the per-shard barrier imbalance (max/mean
-// and min/mean of per-node fired counts).
-func fleetMacro(nodes, workers int, horizon time.Duration) (time.Duration, uint64, float64, float64) {
+// fired across the nodes, heap allocations made during the advance, and
+// the per-shard barrier imbalance (max/mean and min/mean of per-node
+// fired counts).
+func fleetMacro(nodes, workers int, horizon time.Duration) (time.Duration, uint64, uint64, float64, float64) {
 	prev := harness.SetParallelism(workers)
 	defer harness.SetParallelism(prev)
 
@@ -334,9 +339,12 @@ func fleetMacro(nodes, workers int, horizon time.Duration) (time.Duration, uint6
 			PerImageCPU:     10 * time.Millisecond,
 		})
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	elapsed := stopwatch()
 	c.RunUntil(horizon)
 	wall := elapsed()
+	runtime.ReadMemStats(&after)
 	var fired, max uint64
 	min := ^uint64(0)
 	for _, n := range c.Nodes() {
@@ -350,7 +358,7 @@ func fleetMacro(nodes, workers int, horizon time.Duration) (time.Duration, uint6
 		}
 	}
 	mean := float64(fired) / float64(len(c.Nodes()))
-	return wall, fired, float64(max) / mean, float64(min) / mean
+	return wall, fired, after.Mallocs - before.Mallocs, float64(max) / mean, float64(min) / mean
 }
 
 func mustModel(name string) *models.Spec {
@@ -478,9 +486,18 @@ const regressionTolerance = 0.75
 // sharded fleet is not dramatically slower than serial.
 const macroFloor = 0.75
 
-// checkRegression compares cur against base on the portable ratios.
-// Cells present in only one report are skipped, so the suite can grow
-// without invalidating old baselines.
+// macroAllocCeiling is the absolute allocations-per-event ceiling for
+// every fleet macro cell. The kernel path (device, stream, worker pool,
+// executor) recycles its slots, so what remains is per-iteration and
+// per-request state; an allocation creeping back into the per-kernel
+// cycle costs several per event and trips this long before wall time
+// shows it. Absolute, not relative: older baselines lack the field.
+const macroAllocCeiling = 0.5
+
+// checkRegression compares cur against base on the portable ratios, and
+// cur's macro cells against the absolute allocation ceiling. Ratio cells
+// present in only one report are skipped, so the suite can grow without
+// invalidating old baselines.
 func checkRegression(cur, base benchReport) error {
 	var failures []string
 	for _, name := range []string{"schedule_step", "reschedule_storm"} {
@@ -505,6 +522,13 @@ func checkRegression(cur, base benchReport) error {
 		if cs, ok := macroSpeedup(cur, nodes); ok && cs < macroFloor {
 			failures = append(failures, fmt.Sprintf(
 				"fleet %d nodes: sharded/serial %.2fx < floor %.2f", nodes, cs, macroFloor))
+		}
+	}
+	for _, m := range cur.Macro {
+		if m.AllocsPerEvent > macroAllocCeiling {
+			failures = append(failures, fmt.Sprintf(
+				"fleet %d nodes %s: %.3f allocs/event > ceiling %.2f",
+				m.Nodes, m.Mode, m.AllocsPerEvent, macroAllocCeiling))
 		}
 	}
 	if len(failures) > 0 {

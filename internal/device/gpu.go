@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"switchflow/internal/obs"
+	"switchflow/internal/ring"
 	"switchflow/internal/sim"
 )
 
@@ -22,8 +23,18 @@ type Kernel struct {
 	Occupancy float64
 	// Ctx identifies the owning context (job) for traces and accounting.
 	Ctx int
-	// OnDone fires at kernel completion, in virtual time.
-	OnDone func()
+	// Done, when set, is told of the kernel's completion, in virtual time,
+	// with Tag. A receiver plus a tag instead of a closure: the executor
+	// passes its run and the node ID, so launching a kernel builds nothing.
+	Done Completer
+	// Tag is handed back to Done.KernelDone.
+	Tag int32
+}
+
+// Completer receives kernel completions.
+type Completer interface {
+	// KernelDone reports that the kernel submitted with tag completed.
+	KernelDone(tag int32)
 }
 
 // Span records one executed kernel interval, for Figure 2 style timelines.
@@ -34,7 +45,9 @@ type Span struct {
 	End   time.Duration
 }
 
-// kernelExec is a kernel in flight or queued at the device.
+// kernelExec is a kernel in flight or queued at the device. The device
+// holds them by value, in buffers it reuses, so a kernel's trip through
+// the device allocates nothing.
 type kernelExec struct {
 	Kernel
 
@@ -61,8 +74,10 @@ type GPU struct {
 	bus        *obs.Bus
 	id         ID
 	eng        *sim.Engine
-	running    []*kernelExec
-	queue      []*kernelExec
+	running    []kernelExec
+	queue      ring.Deque[kernelExec]
+	done       []kernelExec // complete's scratch; complete never re-enters
+	completeFn func()       // g.complete, bound once
 	usedOcc    float64
 	lastUpdate time.Duration
 	completion sim.Event
@@ -71,18 +86,21 @@ type GPU struct {
 	launched   uint64
 	dropped    uint64
 	failed     bool
+	heals      uint64 // Heal calls that ended a failure; see Stream.settle
 	draining   bool
 	slowdown   float64 // execution slowdown while degraded; 0 or 1 = healthy
 }
 
 // NewGPU creates a GPU of the given class bound to the engine.
 func NewGPU(eng *sim.Engine, id ID, class GPUClass) *GPU {
-	return &GPU{
+	g := &GPU{
 		Class: class,
 		Mem:   NewMemPool(id.String()+" ("+class.Name+")", class.MemoryBytes),
 		id:    id,
 		eng:   eng,
 	}
+	g.completeFn = g.complete
+	return g
 }
 
 // ID returns the device identifier.
@@ -119,12 +137,11 @@ func (g *GPU) Submit(k Kernel) {
 	if occ > 1 {
 		occ = 1
 	}
-	exec := &kernelExec{
+	g.queue.PushBack(kernelExec{
 		Kernel:    k,
 		remaining: k.Work.Seconds(),
 		occ:       occ,
-	}
-	g.queue = append(g.queue, exec)
+	})
 	g.launched++
 	g.admit()
 	g.reschedule()
@@ -134,7 +151,7 @@ func (g *GPU) Submit(k Kernel) {
 func (g *GPU) Active() int { return len(g.running) }
 
 // Waiting returns the number of kernels queued at the device.
-func (g *GPU) Waiting() int { return len(g.queue) }
+func (g *GPU) Waiting() int { return g.queue.Len() }
 
 // Launched returns the total number of kernels ever submitted.
 func (g *GPU) Launched() uint64 { return g.launched }
@@ -176,7 +193,7 @@ func (g *GPU) Slowdown() float64 {
 func (g *GPU) DroppedKernels() uint64 { return g.dropped }
 
 // Fail takes the device off the bus: every in-flight and queued kernel is
-// discarded without completing (their OnDone callbacks never fire) and
+// discarded without completing (their Done receivers are never told) and
 // the memory pool's contents are lost. It returns the number of kernels
 // dropped. Further Submits are dropped too, until Heal.
 func (g *GPU) Fail() int {
@@ -187,10 +204,11 @@ func (g *GPU) Fail() int {
 	if len(g.running) > 0 {
 		g.busy += g.eng.Now() - g.busySince
 	}
-	lost := len(g.running) + len(g.queue)
+	lost := len(g.running) + g.queue.Len()
 	g.dropped += uint64(lost)
+	clear(g.running)
 	g.running = g.running[:0]
-	g.queue = g.queue[:0]
+	g.queue.Clear()
 	g.usedOcc = 0
 	g.completion.Cancel()
 	g.completion = sim.Event{}
@@ -215,6 +233,9 @@ func (g *GPU) Degrade(factor float64) {
 // Fail time stays lost; jobs must restore state from host checkpoints.
 func (g *GPU) Heal() {
 	g.advance()
+	if g.failed {
+		g.heals++
+	}
 	g.failed = false
 	g.slowdown = 0
 	g.reschedule()
@@ -225,11 +246,11 @@ func (g *GPU) Heal() {
 func (g *GPU) OutstandingWork() time.Duration {
 	g.advance()
 	var total float64
-	for _, e := range g.running {
-		total += e.remaining
+	for i := range g.running {
+		total += g.running[i].remaining
 	}
-	for _, e := range g.queue {
-		total += e.remaining
+	for i := 0; i < g.queue.Len(); i++ {
+		total += g.queue.At(i).remaining
 	}
 	return time.Duration(total * float64(time.Second))
 }
@@ -237,12 +258,11 @@ func (g *GPU) OutstandingWork() time.Duration {
 // admit moves queued kernels into execution while they fit, in FIFO order
 // (a big kernel at the head blocks the lane, like a hardware work queue).
 func (g *GPU) admit() {
-	for len(g.queue) > 0 {
-		head := g.queue[0]
-		if g.usedOcc+head.occ > 1.0001 {
+	for g.queue.Len() > 0 {
+		if g.usedOcc+g.queue.At(0).occ > 1.0001 {
 			return
 		}
-		g.queue = g.queue[1:]
+		head := g.queue.PopFront()
 		if len(g.running) == 0 {
 			g.busySince = g.eng.Now()
 		}
@@ -262,7 +282,8 @@ func (g *GPU) advance() {
 		return
 	}
 	rate := g.rate()
-	for _, e := range g.running {
+	for i := range g.running {
+		e := &g.running[i]
 		e.remaining -= elapsed * rate
 		if e.remaining < 0 {
 			e.remaining = 0
@@ -293,35 +314,41 @@ func (g *GPU) reschedule() {
 	}
 	rate := g.rate()
 	minLeft := math.MaxFloat64
-	for _, e := range g.running {
-		if left := e.remaining / rate; left < minLeft {
+	for i := range g.running {
+		if left := g.running[i].remaining / rate; left < minLeft {
 			minLeft = left
 		}
 	}
 	// Round up to a whole nanosecond so a kernel with sub-nanosecond
 	// residue cannot reschedule a zero-delay completion forever.
 	delay := time.Duration(math.Ceil(minLeft * float64(time.Second)))
-	g.completion = g.eng.After(delay, g.complete)
+	g.completion = g.eng.After(delay, g.completeFn)
 }
 
-// complete retires every kernel whose work has drained, fires callbacks,
-// admits waiters, and reschedules.
+// complete retires every kernel whose work has drained, tells their
+// receivers, admits waiters, and reschedules. Only the engine calls it
+// (through completeFn), so it never re-enters and can reuse g.done.
 func (g *GPU) complete() {
 	g.advance()
 	// Anything under a nanosecond of solo work is done: the event queue's
 	// resolution is 1 ns, so finer residues can never drain.
 	const eps = 1e-9
-	var done []*kernelExec
-	remaining := g.running[:0]
-	for _, e := range g.running {
+	done := g.done[:0]
+	kept := 0
+	for i := range g.running {
+		e := &g.running[i]
 		if e.remaining <= eps {
-			done = append(done, e)
+			done = append(done, *e)
 			g.usedOcc -= e.occ
-		} else {
-			remaining = append(remaining, e)
+			continue
 		}
+		if kept != i {
+			g.running[kept] = *e
+		}
+		kept++
 	}
-	g.running = remaining
+	clear(g.running[kept:])
+	g.running = g.running[:kept]
 	if len(g.running) == 0 {
 		if len(done) > 0 {
 			g.busy += g.eng.Now() - g.busySince
@@ -330,7 +357,8 @@ func (g *GPU) complete() {
 	}
 	g.admit()
 	emitSpans := g.bus.Wants(obs.KindKernelSpan)
-	for _, e := range done {
+	for i := range done {
+		e := &done[i]
 		if emitSpans {
 			g.bus.Emit(obs.Event{
 				Kind:   obs.KindKernelSpan,
@@ -341,10 +369,12 @@ func (g *GPU) complete() {
 				Dur:    g.eng.Now() - e.started,
 			})
 		}
-		if e.OnDone != nil {
-			e.OnDone()
+		if e.Done != nil {
+			e.Done.KernelDone(e.Tag)
 		}
 	}
+	clear(done)
+	g.done = done[:0]
 	// Callbacks may have submitted new kernels (Submit reschedules), but
 	// if they did not we still need a completion event for survivors.
 	if !g.completion.Scheduled() {

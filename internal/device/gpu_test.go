@@ -10,6 +10,12 @@ import (
 	"switchflow/internal/sim"
 )
 
+// doneFunc adapts a plain callback to Completer. A func value is
+// pointer-shaped, so storing one in the interface allocates nothing.
+type doneFunc func()
+
+func (f doneFunc) KernelDone(int32) { f() }
+
 func newTestGPU() (*sim.Engine, *GPU) {
 	eng := sim.NewEngine()
 	return eng, NewGPU(eng, GPUID(0), ClassV100)
@@ -22,7 +28,7 @@ func TestGPUSingleKernelRunsAtSoloSpeed(t *testing.T) {
 		Name:      "k",
 		Work:      10 * time.Millisecond,
 		Occupancy: 0.9,
-		OnDone:    func() { done = eng.Now() },
+		Done:      doneFunc(func() { done = eng.Now() }),
 	})
 	eng.Run()
 	if done != 10*time.Millisecond {
@@ -41,7 +47,7 @@ func TestGPUHeavyKernelsSerialize(t *testing.T) {
 			Work:      10 * time.Millisecond,
 			Occupancy: 0.9,
 			Ctx:       i,
-			OnDone:    func() { ends = append(ends, eng.Now()) },
+			Done:      doneFunc(func() { ends = append(ends, eng.Now()) }),
 		})
 	}
 	if gpu.Active() != 1 || gpu.Waiting() != 1 {
@@ -63,7 +69,7 @@ func TestGPULightKernelsOverlap(t *testing.T) {
 			Name:      "light",
 			Work:      10 * time.Millisecond,
 			Occupancy: 0.3,
-			OnDone:    func() { last = eng.Now() },
+			Done:      doneFunc(func() { last = eng.Now() }),
 		})
 	}
 	if gpu.Active() != 2 {
@@ -84,7 +90,7 @@ func TestGPUHeavyBlocksLight(t *testing.T) {
 	var lightEnd time.Duration
 	gpu.Submit(Kernel{Name: "heavy", Work: 10 * time.Millisecond, Occupancy: 0.9})
 	gpu.Submit(Kernel{Name: "light", Work: time.Millisecond, Occupancy: 0.3,
-		OnDone: func() { lightEnd = eng.Now() }})
+		Done: doneFunc(func() { lightEnd = eng.Now() })})
 	eng.Run()
 	if lightEnd != 11*time.Millisecond {
 		t.Fatalf("light kernel ended at %v, want 11ms (after heavy)", lightEnd)
@@ -97,10 +103,10 @@ func TestGPUStaggeredHeavySubmission(t *testing.T) {
 	eng, gpu := newTestGPU()
 	ends := map[string]time.Duration{}
 	gpu.Submit(Kernel{Name: "k1", Work: 10 * time.Millisecond, Occupancy: 0.9,
-		OnDone: func() { ends["k1"] = eng.Now() }})
+		Done: doneFunc(func() { ends["k1"] = eng.Now() })})
 	eng.After(5*time.Millisecond, func() {
 		gpu.Submit(Kernel{Name: "k2", Work: 10 * time.Millisecond, Occupancy: 0.9,
-			OnDone: func() { ends["k2"] = eng.Now() }})
+			Done: doneFunc(func() { ends["k2"] = eng.Now() })})
 	})
 	eng.Run()
 	if ends["k1"] != 10*time.Millisecond {
@@ -192,11 +198,11 @@ func TestGPUChainedSubmissionFromCallback(t *testing.T) {
 	eng, gpu := newTestGPU()
 	var ends []time.Duration
 	gpu.Submit(Kernel{Name: "first", Work: time.Millisecond, Occupancy: 0.9,
-		OnDone: func() {
+		Done: doneFunc(func() {
 			ends = append(ends, eng.Now())
 			gpu.Submit(Kernel{Name: "second", Work: time.Millisecond, Occupancy: 0.9,
-				OnDone: func() { ends = append(ends, eng.Now()) }})
-		}})
+				Done: doneFunc(func() { ends = append(ends, eng.Now()) })})
+		})})
 	eng.Run()
 	if len(ends) != 2 {
 		t.Fatalf("got %d completions, want 2", len(ends))
@@ -233,7 +239,7 @@ func TestGPUWorkConservationProperty(t *testing.T) {
 			occ := float64(occs[i]%10) / 10
 			eng.Schedule(d, func() {
 				gpu.Submit(Kernel{Name: "p", Work: w, Occupancy: occ,
-					OnDone: func() { completions++ }})
+					Done: doneFunc(func() { completions++ })})
 			})
 		}
 		eng.Run()
@@ -256,7 +262,7 @@ func TestGPUFIFOProperty(t *testing.T) {
 			gpu.Submit(Kernel{
 				Name: "k", Work: time.Duration(w+1) * 10 * time.Microsecond,
 				Occupancy: 0.9,
-				OnDone:    func() { order = append(order, i) },
+				Done:      doneFunc(func() { order = append(order, i) }),
 			})
 		}
 		eng.Run()
@@ -269,5 +275,60 @@ func TestGPUFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tally is a pointer Completer that counts completions per tag.
+type tally struct{ byTag map[int32]int }
+
+func newTally() *tally { return &tally{byTag: map[int32]int{}} }
+
+func (c *tally) KernelDone(tag int32) { c.byTag[tag]++ }
+
+func TestGPUFailDropsKernelsWithoutCompleting(t *testing.T) {
+	eng, gpu := newTestGPU()
+	done := newTally()
+	gpu.Submit(Kernel{Name: "running", Work: 10 * time.Millisecond, Occupancy: 0.9, Done: done, Tag: 1})
+	gpu.Submit(Kernel{Name: "queued", Work: 10 * time.Millisecond, Occupancy: 0.9, Done: done, Tag: 2})
+	eng.Schedule(5*time.Millisecond, func() {
+		if lost := gpu.Fail(); lost != 2 {
+			t.Errorf("Fail dropped %d kernels, want 2", lost)
+		}
+	})
+	eng.Schedule(6*time.Millisecond, gpu.Heal)
+	// The dropped kernels' slots are reused by the next submissions.
+	eng.Schedule(7*time.Millisecond, func() {
+		gpu.Submit(Kernel{Name: "after", Work: time.Millisecond, Occupancy: 0.9, Done: done, Tag: 3})
+	})
+	eng.Run()
+	if len(done.byTag) != 1 || done.byTag[3] != 1 {
+		t.Fatalf("completions by tag %v, want only tag 3, once", done.byTag)
+	}
+	if gpu.DroppedKernels() != 2 || eng.Now() != 8*time.Millisecond {
+		t.Fatalf("dropped %d, drained at %v; want 2 and 8ms", gpu.DroppedKernels(), eng.Now())
+	}
+}
+
+// TestGPUSubmitCompleteCycleAllocatesNothing pins the device's share of
+// the kernel path at zero allocations once its buffers have grown: the
+// queue and running set hold kernels by value in reused buffers, and the
+// completion callback is bound once.
+func TestGPUSubmitCompleteCycleAllocatesNothing(t *testing.T) {
+	eng, gpu := newTestGPU()
+	done := newTally()
+	cycle := func() {
+		// Two light kernels co-run and a heavy one queues behind them.
+		gpu.Submit(Kernel{Name: "a", Work: time.Millisecond, Occupancy: 0.3, Done: done, Tag: 1})
+		gpu.Submit(Kernel{Name: "b", Work: 2 * time.Millisecond, Occupancy: 0.3, Done: done, Tag: 2})
+		gpu.Submit(Kernel{Name: "c", Work: time.Millisecond, Occupancy: 0.9, Done: done, Tag: 3})
+		eng.Run()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Submit/complete cycle allocates %v times, want 0", n)
+	}
+	// One warm-up cycle, AllocsPerRun's own warm-up, then 100 measured.
+	if done.byTag[1] != 102 || done.byTag[2] != 102 || done.byTag[3] != 102 {
+		t.Fatalf("completions by tag %v, want 102 each", done.byTag)
 	}
 }

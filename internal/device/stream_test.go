@@ -11,7 +11,7 @@ func TestStreamSerializesKernels(t *testing.T) {
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
 		s.Enqueue(Kernel{Name: "k", Work: 10 * time.Millisecond, Occupancy: 0.9,
-			OnDone: func() { ends = append(ends, eng.Now()) }})
+			Done: doneFunc(func() { ends = append(ends, eng.Now()) })})
 	}
 	eng.Run()
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
@@ -34,9 +34,9 @@ func TestTwoStreamsContendLikeFigure2(t *testing.T) {
 	const kernels = 10
 	for i := 0; i < kernels; i++ {
 		s1.Enqueue(Kernel{Name: "m1", Ctx: 1, Work: time.Millisecond, Occupancy: 0.9,
-			OnDone: func() { end1 = eng.Now() }})
+			Done: doneFunc(func() { end1 = eng.Now() })})
 		s2.Enqueue(Kernel{Name: "m2", Ctx: 2, Work: time.Millisecond, Occupancy: 0.9,
-			OnDone: func() { end2 = eng.Now() }})
+			Done: doneFunc(func() { end2 = eng.Now() })})
 	}
 	eng.Run()
 	solo := kernels * time.Millisecond
@@ -56,7 +56,7 @@ func TestStreamAbortDiscardsQueueOnly(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
 		s.Enqueue(Kernel{Name: name, Work: 10 * time.Millisecond, Occupancy: 0.9,
-			OnDone: func() { finished[name] = true }})
+			Done: doneFunc(func() { finished[name] = true })})
 	}
 	// Abort mid-way through kernel "a": b and c are queued, a in flight.
 	eng.Schedule(5*time.Millisecond, func() {
@@ -122,7 +122,7 @@ func TestStreamEnqueueAfterAbortResumes(t *testing.T) {
 	done := false
 	eng.Schedule(5*time.Millisecond, func() {
 		s.Enqueue(Kernel{Name: "b", Work: time.Millisecond, Occupancy: 0.9,
-			OnDone: func() { done = true }})
+			Done: doneFunc(func() { done = true })})
 	})
 	eng.Run()
 	if !done {
@@ -153,5 +153,78 @@ func TestStreamDrainNotFiredWhileBacklog(t *testing.T) {
 	eng.Run()
 	if at != 2*time.Millisecond {
 		t.Fatalf("drain fired at %v, want 2ms (after the backlog)", at)
+	}
+}
+
+// TestStreamRecoversAfterGPUFailAndHeal: Fail drops the stream's
+// in-flight kernel without completing it. Once the GPU heals, the stream
+// must release that slot, run what is enqueued next, and drain.
+func TestStreamRecoversAfterGPUFailAndHeal(t *testing.T) {
+	eng, gpu := newTestGPU()
+	s := NewStream(gpu)
+	done := newTally()
+	s.Enqueue(Kernel{Name: "lost", Work: 10 * time.Millisecond, Occupancy: 0.9, Done: done, Tag: 1})
+	eng.Schedule(5*time.Millisecond, func() { gpu.Fail() })
+	eng.Schedule(6*time.Millisecond, func() {
+		if !s.InFlight() {
+			t.Error("stream released its slot while the GPU is still failed")
+		}
+		gpu.Heal()
+		if s.InFlight() {
+			t.Error("stream still holds the dropped kernel's slot after Heal")
+		}
+	})
+	drained := false
+	eng.Schedule(7*time.Millisecond, func() {
+		s.Enqueue(Kernel{Name: "after", Work: time.Millisecond, Occupancy: 0.9, Done: done, Tag: 2})
+		s.Drain(func() { drained = true })
+	})
+	eng.RunFor(time.Second)
+	if done.byTag[2] != 1 || done.byTag[1] != 0 {
+		t.Errorf("completions by tag %v, want tag 2 once and never tag 1", done.byTag)
+	}
+	if !drained || s.InFlight() || gpu.Launched() != 2 {
+		t.Errorf("drained=%v inflight=%v launched=%d, want true false 2",
+			drained, s.InFlight(), gpu.Launched())
+	}
+}
+
+// TestStreamDrainReleasesSlotLostToFailure: a Drain after the GPU healed
+// fires even when nothing new is enqueued.
+func TestStreamDrainReleasesSlotLostToFailure(t *testing.T) {
+	eng, gpu := newTestGPU()
+	s := NewStream(gpu)
+	s.Enqueue(Kernel{Name: "lost", Work: 10 * time.Millisecond, Occupancy: 0.9})
+	eng.Schedule(5*time.Millisecond, func() { gpu.Fail() })
+	eng.Schedule(6*time.Millisecond, gpu.Heal)
+	var at time.Duration = -1
+	eng.Schedule(7*time.Millisecond, func() { s.Drain(func() { at = eng.Now() }) })
+	eng.Run()
+	if at != 7*time.Millisecond {
+		t.Fatalf("drain fired at %v, want 7ms (inline, nothing left in flight)", at)
+	}
+}
+
+// TestStreamEnqueueDoneCycleAllocatesNothing: the stream's backlog reuses
+// its ring buffer and hands the GPU one completer bound at construction.
+func TestStreamEnqueueDoneCycleAllocatesNothing(t *testing.T) {
+	eng, gpu := newTestGPU()
+	s1, s2 := NewStream(gpu), NewStream(gpu)
+	done := newTally()
+	cycle := func() {
+		for i := int32(0); i < 4; i++ {
+			s1.Enqueue(Kernel{Name: "m1", Work: time.Millisecond, Occupancy: 0.6, Done: done, Tag: i})
+			s2.Enqueue(Kernel{Name: "m2", Work: time.Millisecond, Occupancy: 0.6, Done: done, Tag: i})
+		}
+		eng.Run()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Enqueue/done cycle allocates %v times, want 0", n)
+	}
+	for tag := int32(0); tag < 4; tag++ {
+		if done.byTag[tag] != 2*102 {
+			t.Fatalf("completions by tag %v, want %d each", done.byTag, 2*102)
+		}
 	}
 }

@@ -67,15 +67,19 @@ type Run struct {
 	// satisfied by stage sequencing). doneSet is indexed the same way.
 	// Slices, not maps: a Run is created for every iteration of every
 	// job, and the dependency bookkeeping is the executor's hottest path.
-	pending    []int32
-	doneSet    []bool
-	shardsLeft map[int]int // lazily allocated; only sharded CPU ops use it
+	pending []int32
+	doneSet []bool
+	// shardsLeft counts, per node ID, the unfinished shards of a sharded
+	// CPU op; allocated on the first sharded dispatch.
+	shardsLeft []int32
 	done       int
 	total      int
 	suspended  bool
 	aborted    bool
-	epoch      int
-	onDone     func()
+	// epoch counts suspensions. Worker tasks carry the epoch they were
+	// dispatched in, so a task that outlives a suspension is ignored.
+	epoch  int32
+	onDone func()
 }
 
 // Start begins executing sub and returns its Run handle. onDone fires when
@@ -208,12 +212,11 @@ func (r *Run) Abort(onDrained func()) {
 func (r *Run) Discard() { r.Abort(nil) }
 
 // dispatch hands node n to a worker. preferred/front implement the
-// expensive/inexpensive local-queue policy. The captured epoch invalidates
-// callbacks from before a suspension, so a node cannot be processed twice
-// when a suspend races with a worker mid-task.
+// expensive/inexpensive local-queue policy. The task carries the current
+// epoch, which invalidates it after a suspension, so a node cannot be
+// processed twice when a suspend races with a worker mid-task.
 func (r *Run) dispatch(n *graph.Node, preferred int, front bool) {
 	duration := r.workerTime(n)
-	epoch := r.epoch
 	pool := r.cfg.Pool
 	if n.Op == graph.OpPreprocess && r.cfg.DataPool != nil {
 		pool = r.cfg.DataPool
@@ -238,43 +241,40 @@ func (r *Run) dispatch(n *graph.Node, preferred int, front bool) {
 			return
 		}
 	}
-	pool.Submit(&threadpool.Task{
-		Name:     n.Name,
-		Owner:    r,
-		Duration: duration,
-		Run: func() {
-			if epoch == r.epoch {
-				r.process(n)
-			}
-		},
-	}, preferred, front)
+	pool.Submit(r.task(n, duration), preferred, front)
+}
+
+// task is n's worker task in the current epoch.
+func (r *Run) task(n *graph.Node, duration time.Duration) threadpool.Task {
+	return threadpool.Task{Owner: r, Node: int32(n.ID), Epoch: r.epoch, Duration: duration}
 }
 
 // dispatchSharded fans a heavy CPU op over several worker threads with
 // MKL-style imperfect scaling; the node completes when every shard does.
 func (r *Run) dispatchSharded(n *graph.Node, pool *threadpool.Pool, total time.Duration, shards int) {
 	if r.shardsLeft == nil {
-		r.shardsLeft = make(map[int]int)
+		r.shardsLeft = make([]int32, len(r.pending))
 	}
-	r.shardsLeft[n.ID] = shards
-	epoch := r.epoch
+	r.shardsLeft[n.ID] = int32(shards)
 	per := time.Duration(float64(total) / (float64(shards) * mklScalingEfficiency))
 	for i := 0; i < shards; i++ {
-		pool.Submit(&threadpool.Task{
-			Name:     n.Name + "/shard",
-			Owner:    r,
-			Duration: per,
-			Run: func() {
-				if epoch != r.epoch {
-					return
-				}
-				r.shardsLeft[n.ID]--
-				if r.shardsLeft[n.ID] == 0 {
-					r.process(n)
-				}
-			},
-		}, -1, false)
+		pool.Submit(r.task(n, per), -1, false)
 	}
+}
+
+// RunTask implements threadpool.Owner: a worker finished node t.Node's
+// task (or one shard of it). Tasks from before a suspension are stale.
+func (r *Run) RunTask(t threadpool.Task) {
+	if t.Epoch != r.epoch {
+		return
+	}
+	if r.shardsLeft != nil && r.shardsLeft[t.Node] > 0 {
+		r.shardsLeft[t.Node]--
+		if r.shardsLeft[t.Node] > 0 {
+			return
+		}
+	}
+	r.process(r.sub.Graph.Nodes()[t.Node])
 }
 
 // workerTime is how long node n occupies the worker thread itself.
@@ -349,12 +349,16 @@ func (r *Run) process(n *graph.Node) {
 			Work:      work,
 			Occupancy: cost.Occupancy(n),
 			Ctx:       r.cfg.Ctx,
-			OnDone:    func() { r.complete(n) },
+			Done:      r,
+			Tag:       int32(n.ID),
 		})
 	default:
 		r.complete(n)
 	}
 }
+
+// KernelDone implements device.Completer: node tag's kernel completed.
+func (r *Run) KernelDone(tag int32) { r.complete(r.sub.Graph.Nodes()[tag]) }
 
 // startSend moves n's tensor over the copy path toward its Recv peer.
 func (r *Run) startSend(n *graph.Node) {

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"switchflow/internal/device"
 	"switchflow/internal/graph"
 	"switchflow/internal/models"
+	"switchflow/internal/obs"
 	"switchflow/internal/sim"
 	"switchflow/internal/threadpool"
 )
@@ -375,5 +377,191 @@ func TestSuspendKeepsProgress(t *testing.T) {
 	after, _ := run.Progress()
 	if after != total || !done {
 		t.Fatalf("after resume: %d/%d done=%v", after, total, done)
+	}
+}
+
+// layeredGPUGraph builds layers x width GPU convolutions, every node of a
+// layer feeding every node of the next, with distinct names.
+func layeredGPUGraph(t *testing.T, layers, width int, flops float64) *graph.Subgraph {
+	t.Helper()
+	g := graph.New("layered")
+	var prev []*graph.Node
+	for l := 0; l < layers; l++ {
+		var cur []*graph.Node
+		for i := 0; i < width; i++ {
+			n := g.AddNode(&graph.Node{
+				Name: fmt.Sprintf("L%dN%d", l, i), Op: graph.OpConv2D,
+				Device: device.GPUID(0), FLOPs: flops,
+			})
+			for _, p := range prev {
+				g.Connect(p, n)
+			}
+			cur = append(cur, n)
+		}
+		prev = cur
+	}
+	subs, err := graph.Partition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs[0]
+}
+
+// TestRecycledSlotsNeverFireStaleWork suspends a run while it has a
+// kernel in flight, a launch task running and one queued, and resumes it
+// while that task still runs. A second run then starts on the same pool
+// and GPU and is aborted while both runs' tasks and kernels reuse the
+// slots the suspension freed. Every node of the first run must execute
+// exactly once and in dependency order, and the aborted run must
+// dispatch and launch nothing after its abort and finish at most its one
+// in-flight kernel.
+func TestRecycledSlotsNeverFireStaleWork(t *testing.T) {
+	f := newFixture(1)
+	bus := f.machine.Bus()
+	type key struct {
+		ctx  int
+		name string
+	}
+	spans := map[key][]obs.Event{}
+	var abortedAt time.Duration = -1
+	var lateWork []obs.Event // run 2's dispatches and launches after its abort
+	bus.Subscribe(obs.SinkFunc(func(e obs.Event) {
+		switch {
+		case e.Kind == obs.KindKernelSpan:
+			spans[key{e.Ctx, e.Name}] = append(spans[key{e.Ctx, e.Name}], e)
+		case e.Ctx == 2 && abortedAt >= 0:
+			lateWork = append(lateWork, e)
+		}
+	}), obs.KindKernelSpan, obs.KindOpSched, obs.KindLaunch)
+
+	// Short kernels and long (eager) launch tasks: the stream drains well
+	// before the worker finishes its task.
+	sub1 := layeredGPUGraph(t, 4, 3, 1e8)
+	sub2 := layeredGPUGraph(t, 4, 3, 1e8)
+	s1, s2 := device.NewStream(f.machine.GPU(0)), device.NewStream(f.machine.GPU(0))
+	cfg1, cfg2 := f.gpuConfig(s1), f.gpuConfig(s2)
+	cfg1.Ctx, cfg1.Bus, cfg1.Eager = 1, bus, true
+	cfg2.Ctx, cfg2.Bus, cfg2.Eager = 2, bus, true
+	done1, done2 := 0, 0
+	r1, err := Start(f.eng, sub1, cfg1, func() { done1++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r2 *Run
+	var abortedProgress int
+	// when polls cond every 10µs of virtual time and runs fn once it
+	// holds, giving up after 50ms.
+	var when func(cond func() bool, fn func())
+	when = func(cond func() bool, fn func()) {
+		switch {
+		case cond():
+			fn()
+		case f.eng.Now() < 50*time.Millisecond:
+			f.eng.After(10*time.Microsecond, func() { when(cond, fn) })
+		}
+	}
+	when(func() bool { return s1.InFlight() && f.pool.Busy() > 0 && f.pool.Queued() > 0 }, func() {
+		r1.Suspend(func() {
+			if f.pool.Busy() == 0 {
+				t.Error("run 1's task finished before the stream drained; nothing goes stale")
+			}
+			r1.Resume()
+			if r2, err = Start(f.eng, sub2, cfg2, func() { done2++ }); err != nil {
+				t.Fatal(err)
+			}
+			when(func() bool { return s2.InFlight() && f.pool.Queued() > 0 }, func() {
+				abortedAt = f.eng.Now()
+				abortedProgress, _ = r2.Progress()
+				r2.Abort(nil)
+			})
+		})
+	})
+	f.eng.Run()
+
+	if abortedAt < 0 {
+		t.Fatal("the suspend or the abort never found its precondition")
+	}
+	if done1 != 1 || !r1.Done() {
+		t.Fatalf("run 1: onDone fired %d times, Done=%v; want once", done1, r1.Done())
+	}
+	for _, n := range sub1.Nodes {
+		got := spans[key{1, n.Name}]
+		if len(got) != 1 {
+			t.Fatalf("run 1 node %s executed %d kernels, want 1", n.Name, len(got))
+		}
+		for _, p := range n.Inputs() {
+			if dep := spans[key{1, p.Name}]; len(dep) == 1 && got[0].Start < dep[0].Start+dep[0].Dur {
+				t.Fatalf("run 1 node %s started at %v before input %s finished at %v",
+					n.Name, got[0].Start, p.Name, dep[0].Start+dep[0].Dur)
+			}
+		}
+	}
+	if done2 != 0 || !r2.Aborted() {
+		t.Fatalf("run 2: onDone fired %d times, Aborted=%v; want never and true", done2, r2.Aborted())
+	}
+	if len(lateWork) != 0 {
+		t.Fatalf("run 2 dispatched or launched %d ops after its abort: %+v", len(lateWork), lateWork)
+	}
+	late := 0
+	for k, evs := range spans {
+		for _, e := range evs {
+			if k.ctx == 2 && e.Start+e.Dur > abortedAt {
+				late++
+			}
+		}
+	}
+	if late > 1 {
+		t.Fatalf("run 2 finished %d kernels after its abort, want at most the one in flight", late)
+	}
+	if got, _ := r2.Progress(); got != abortedProgress {
+		t.Fatalf("run 2 progress moved from %d to %d after its abort", abortedProgress, got)
+	}
+	if f.pool.Queued() != 0 || f.pool.Busy() != 0 || s1.Pending() != 0 || s2.Pending() != 0 {
+		t.Fatalf("leftover work: pool queued %d busy %d, stream backlogs %d and %d",
+			f.pool.Queued(), f.pool.Busy(), s1.Pending(), s2.Pending())
+	}
+}
+
+// TestRunIterationAllocatesOnlyItsState pins the executor's per-iteration
+// allocations: Start allocates the Run and its pending and doneSet
+// slices, and nothing else on the kernel path allocates — worker tasks
+// are values, and the run itself receives task and kernel completions.
+func TestRunIterationAllocatesOnlyItsState(t *testing.T) {
+	f := newFixture(2)
+	gpuSub := layeredGPUGraph(t, 3, 3, 1e9)
+	stream := device.NewStream(f.machine.GPU(0))
+	cpu := graph.New("cpu")
+	for i := 0; i < 4; i++ {
+		cpu.AddNode(&graph.Node{Name: "shard", Op: graph.OpPreprocess,
+			Device: device.CPUID, CPUTime: time.Millisecond})
+	}
+	cpuSubs, err := graph.Partition(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	onDone := func() { done++ }
+	for _, tc := range []struct {
+		name string
+		sub  *graph.Subgraph
+		cfg  Config
+	}{
+		{"gpu", gpuSub, f.gpuConfig(stream)},
+		{"cpu", cpuSubs[0], f.cpuConfig()},
+	} {
+		iteration := func() {
+			if _, err := Start(f.eng, tc.sub, tc.cfg, onDone); err != nil {
+				t.Fatal(err)
+			}
+			f.eng.Run()
+		}
+		iteration()
+		const perStart = 3 // the Run, pending and doneSet
+		if n := testing.AllocsPerRun(50, iteration); n != perStart {
+			t.Errorf("%s iteration allocates %v times, want %d", tc.name, n, perStart)
+		}
+	}
+	if done != 2*52 {
+		t.Fatalf("%d iterations completed, want %d", done, 2*52)
 	}
 }

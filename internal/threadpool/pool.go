@@ -8,20 +8,31 @@ package threadpool
 import (
 	"time"
 
+	"switchflow/internal/ring"
 	"switchflow/internal/sim"
 )
 
 // Task is one unit of worker-thread work (a CPU op, or the launch of a GPU
-// kernel).
+// kernel). It is a plain value: the pool copies it through its worker
+// queues and hands it back to its Owner, so submitting one allocates
+// nothing.
 type Task struct {
-	// Name labels the task for debugging.
-	Name string
-	// Owner tags the task for Abort; typically an executor run.
-	Owner any
+	// Owner runs the task when its duration elapses, still "on" the
+	// worker, and tags it for Abort; typically an executor run. A task
+	// without an owner only occupies its worker.
+	Owner Owner
+	// Node and Epoch are the owner's tags, handed back unchanged: an
+	// executor run passes the node ID and its suspend epoch.
+	Node  int32
+	Epoch int32
 	// Duration is how long the task occupies a worker thread.
 	Duration time.Duration
-	// Run fires when the task's duration elapses, still "on" the worker.
-	Run func()
+}
+
+// Owner runs tasks. Owners are compared by identity in Abort, so they
+// must be comparable (pointers, in practice).
+type Owner interface {
+	RunTask(t Task)
 }
 
 // Pool is a set of virtual worker threads.
@@ -37,16 +48,20 @@ type Pool struct {
 }
 
 type worker struct {
-	id    int
-	queue []*Task
-	busy  bool
+	pool   *Pool
+	queue  ring.Deque[Task]
+	busy   bool
+	cur    Task   // the running task, while busy
+	finish func() // w.done, bound once
 }
 
 // New creates a pool of n workers, all active.
 func New(eng *sim.Engine, name string, n int) *Pool {
 	p := &Pool{Name: name, eng: eng, activeLimit: n}
 	for i := 0; i < n; i++ {
-		p.workers = append(p.workers, &worker{id: i})
+		w := &worker{pool: p}
+		w.finish = w.done
+		p.workers = append(p.workers, w)
 	}
 	return p
 }
@@ -79,7 +94,7 @@ func (p *Pool) Busy() int { return p.busy }
 func (p *Pool) Queued() int {
 	total := 0
 	for _, w := range p.workers {
-		total += len(w.queue)
+		total += w.queue.Len()
 	}
 	return total
 }
@@ -91,7 +106,7 @@ func (p *Pool) BusyTime() time.Duration { return p.busyTime }
 // hold the task (the parent op's worker for inexpensive successors, §2.1);
 // pass -1 for no affinity. front pushes to the head of the local queue
 // (inexpensive ops ride immediately after their parent).
-func (p *Pool) Submit(t *Task, preferred int, front bool) {
+func (p *Pool) Submit(t Task, preferred int, front bool) {
 	if t.Duration < 0 {
 		t.Duration = 0
 	}
@@ -107,27 +122,19 @@ func (p *Pool) Submit(t *Task, preferred int, front bool) {
 		return
 	}
 	if front {
-		w.queue = append([]*Task{t}, w.queue...)
+		w.queue.PushFront(t)
 	} else {
-		w.queue = append(w.queue, t)
+		w.queue.PushBack(t)
 	}
 }
 
 // Abort removes every queued task tagged with owner and returns the count.
 // Running tasks are unaffected (a thread cannot be yanked mid-op; the
 // paper aborts queued nodes and lets running ones finish).
-func (p *Pool) Abort(owner any) int {
+func (p *Pool) Abort(owner Owner) int {
 	removed := 0
 	for _, w := range p.workers {
-		kept := w.queue[:0]
-		for _, t := range w.queue {
-			if t.Owner == owner {
-				removed++
-				continue
-			}
-			kept = append(kept, t)
-		}
-		w.queue = kept
+		removed += w.queue.Retain(func(t *Task) bool { return t.Owner != owner })
 	}
 	return removed
 }
@@ -142,7 +149,7 @@ func (p *Pool) pickWorker(preferred int) *worker {
 	}
 	best := p.workers[0]
 	for _, w := range p.workers[1:] {
-		if len(w.queue) < len(best.queue) {
+		if w.queue.Len() < best.queue.Len() {
 			best = w
 		}
 	}
@@ -158,18 +165,26 @@ func (p *Pool) idleWorker() *worker {
 	return nil
 }
 
-func (p *Pool) start(w *worker, t *Task) {
+func (p *Pool) start(w *worker, t Task) {
 	w.busy = true
+	w.cur = t
 	p.busy++
 	p.busyTime += t.Duration
-	p.eng.After(t.Duration, func() {
-		if t.Run != nil {
-			t.Run()
-		}
-		w.busy = false
-		p.busy--
-		p.next(w)
-	})
+	p.eng.After(t.Duration, w.finish)
+}
+
+// done runs when the worker's current task's duration elapses: the owner
+// runs it, then the worker looks for its next task.
+func (w *worker) done() {
+	t := w.cur
+	w.cur = Task{}
+	if t.Owner != nil {
+		t.Owner.RunTask(t)
+	}
+	p := w.pool
+	w.busy = false
+	p.busy--
+	p.next(w)
 }
 
 // next lets worker w pick its next task: own queue first, then steal from
@@ -178,16 +193,12 @@ func (p *Pool) next(w *worker) {
 	if p.busy >= p.activeLimit {
 		return
 	}
-	if len(w.queue) > 0 {
-		t := w.queue[0]
-		w.queue = w.queue[1:]
-		p.start(w, t)
+	if w.queue.Len() > 0 {
+		p.start(w, w.queue.PopFront())
 		return
 	}
 	if victim := p.longestQueue(); victim != nil {
-		t := victim.queue[len(victim.queue)-1] // steal from the tail
-		victim.queue = victim.queue[:len(victim.queue)-1]
-		p.start(w, t)
+		p.start(w, victim.queue.PopBack()) // steal from the tail
 	}
 }
 
@@ -210,10 +221,10 @@ func (p *Pool) dispatch() {
 func (p *Pool) longestQueue() *worker {
 	var best *worker
 	for _, w := range p.workers {
-		if len(w.queue) == 0 {
+		if w.queue.Len() == 0 {
 			continue
 		}
-		if best == nil || len(w.queue) > len(best.queue) {
+		if best == nil || w.queue.Len() > best.queue.Len() {
 			best = w
 		}
 	}

@@ -1,6 +1,7 @@
 package threadpool
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,20 +9,25 @@ import (
 	"switchflow/internal/sim"
 )
 
-func submitN(p *Pool, n int, d time.Duration, owner any, done *int) {
+// recorder is a test Owner that logs the Node of every task it runs.
+type recorder struct{ ran []int32 }
+
+func (r *recorder) RunTask(t Task) { r.ran = append(r.ran, t.Node) }
+
+func submitN(p *Pool, n int, d time.Duration, owner *recorder) {
 	for i := 0; i < n; i++ {
-		p.Submit(&Task{Owner: owner, Duration: d, Run: func() { *done++ }}, -1, false)
+		p.Submit(Task{Owner: owner, Duration: d}, -1, false)
 	}
 }
 
 func TestPoolRunsTasksInParallel(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 4)
-	done := 0
-	submitN(p, 4, 10*time.Millisecond, nil, &done)
+	done := &recorder{}
+	submitN(p, 4, 10*time.Millisecond, done)
 	eng.Run()
-	if done != 4 {
-		t.Fatalf("completed %d tasks, want 4", done)
+	if len(done.ran) != 4 {
+		t.Fatalf("completed %d tasks, want 4", len(done.ran))
 	}
 	if eng.Now() != 10*time.Millisecond {
 		t.Fatalf("4 tasks on 4 workers took %v, want 10ms", eng.Now())
@@ -31,11 +37,11 @@ func TestPoolRunsTasksInParallel(t *testing.T) {
 func TestPoolQueuesBeyondWorkers(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 2)
-	done := 0
-	submitN(p, 4, 10*time.Millisecond, nil, &done)
+	done := &recorder{}
+	submitN(p, 4, 10*time.Millisecond, done)
 	eng.Run()
-	if done != 4 {
-		t.Fatalf("completed %d tasks, want 4", done)
+	if len(done.ran) != 4 {
+		t.Fatalf("completed %d tasks, want 4", len(done.ran))
 	}
 	if eng.Now() != 20*time.Millisecond {
 		t.Fatalf("4 tasks on 2 workers took %v, want 20ms", eng.Now())
@@ -46,61 +52,53 @@ func TestPoolWorkStealing(t *testing.T) {
 	// All tasks queued on worker 0; idle workers must steal them.
 	eng := sim.NewEngine()
 	p := New(eng, "global", 4)
-	done := 0
+	done := &recorder{}
 	// First task starts on worker 0; the rest pile onto its queue only if
 	// no one is idle — but workers 1-3 are idle, so they run immediately.
 	for i := 0; i < 4; i++ {
-		p.Submit(&Task{Duration: 10 * time.Millisecond, Run: func() { done++ }}, 0, false)
+		p.Submit(Task{Owner: done, Duration: 10 * time.Millisecond}, 0, false)
 	}
 	eng.Run()
 	if eng.Now() != 10*time.Millisecond {
 		t.Fatalf("stealable tasks took %v, want 10ms (ran in parallel)", eng.Now())
 	}
-	if done != 4 {
-		t.Fatalf("completed %d, want 4", done)
+	if len(done.ran) != 4 {
+		t.Fatalf("completed %d, want 4", len(done.ran))
 	}
 }
 
 func TestPoolAffinityQueueWhenSaturated(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 1)
-	var order []string
-	p.Submit(&Task{Name: "first", Duration: time.Millisecond,
-		Run: func() { order = append(order, "first") }}, 0, false)
-	p.Submit(&Task{Name: "back", Duration: time.Millisecond,
-		Run: func() { order = append(order, "back") }}, 0, false)
-	p.Submit(&Task{Name: "front", Duration: time.Millisecond,
-		Run: func() { order = append(order, "front") }}, 0, true)
+	const first, back, front = 1, 2, 3
+	order := &recorder{}
+	p.Submit(Task{Owner: order, Node: first, Duration: time.Millisecond}, 0, false)
+	p.Submit(Task{Owner: order, Node: back, Duration: time.Millisecond}, 0, false)
+	p.Submit(Task{Owner: order, Node: front, Duration: time.Millisecond}, 0, true)
 	eng.Run()
-	want := []string{"first", "front", "back"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("execution order %v, want %v", order, want)
-		}
+	want := []int32{first, front, back}
+	if !slices.Equal(order.ran, want) {
+		t.Fatalf("execution order %v, want %v", order.ran, want)
 	}
 }
 
 func TestPoolAbortRemovesQueuedOnly(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 1)
-	type jobKey struct{ name string }
-	victim := &jobKey{"victim"}
-	other := &jobKey{"other"}
-	var ran []string
-	p.Submit(&Task{Owner: victim, Duration: 10 * time.Millisecond,
-		Run: func() { ran = append(ran, "running") }}, 0, false)
-	p.Submit(&Task{Owner: victim, Duration: time.Millisecond,
-		Run: func() { ran = append(ran, "queued-victim") }}, 0, false)
-	p.Submit(&Task{Owner: other, Duration: time.Millisecond,
-		Run: func() { ran = append(ran, "queued-other") }}, 0, false)
+	const running, queuedVictim, queuedOther = 1, 2, 3
+	victim, other := &recorder{}, &recorder{}
+	p.Submit(Task{Owner: victim, Node: running, Duration: 10 * time.Millisecond}, 0, false)
+	p.Submit(Task{Owner: victim, Node: queuedVictim, Duration: time.Millisecond}, 0, false)
+	p.Submit(Task{Owner: other, Node: queuedOther, Duration: time.Millisecond}, 0, false)
 	eng.Schedule(time.Millisecond, func() {
 		if got := p.Abort(victim); got != 1 {
 			t.Errorf("Abort removed %d, want 1", got)
 		}
 	})
 	eng.Run()
-	if len(ran) != 2 || ran[0] != "running" || ran[1] != "queued-other" {
-		t.Fatalf("ran %v, want [running queued-other]", ran)
+	if !slices.Equal(victim.ran, []int32{running}) || !slices.Equal(other.ran, []int32{queuedOther}) {
+		t.Fatalf("victim ran %v, other ran %v; want [%d] and [%d]",
+			victim.ran, other.ran, running, queuedOther)
 	}
 }
 
@@ -108,14 +106,14 @@ func TestPoolActiveLimitThrottles(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 4)
 	p.SetActiveLimit(1)
-	done := 0
-	submitN(p, 4, 10*time.Millisecond, nil, &done)
+	done := &recorder{}
+	submitN(p, 4, 10*time.Millisecond, done)
 	eng.Run()
 	if eng.Now() != 40*time.Millisecond {
 		t.Fatalf("limit-1 pool took %v, want 40ms", eng.Now())
 	}
-	if done != 4 {
-		t.Fatalf("completed %d, want 4", done)
+	if len(done.ran) != 4 {
+		t.Fatalf("completed %d, want 4", len(done.ran))
 	}
 }
 
@@ -123,8 +121,7 @@ func TestPoolRaisingLimitDispatchesQueued(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 4)
 	p.SetActiveLimit(1)
-	done := 0
-	submitN(p, 4, 10*time.Millisecond, nil, &done)
+	submitN(p, 4, 10*time.Millisecond, &recorder{})
 	eng.Schedule(5*time.Millisecond, func() { p.SetActiveLimit(4) })
 	eng.Run()
 	// First task runs 0-10ms; the other three start at 5ms.
@@ -136,8 +133,7 @@ func TestPoolRaisingLimitDispatchesQueued(t *testing.T) {
 func TestPoolCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 2)
-	done := 0
-	submitN(p, 3, 10*time.Millisecond, nil, &done)
+	submitN(p, 3, 10*time.Millisecond, &recorder{})
 	if p.Busy() != 2 {
 		t.Fatalf("Busy() = %d, want 2", p.Busy())
 	}
@@ -156,10 +152,10 @@ func TestPoolCounters(t *testing.T) {
 func TestPoolZeroDurationTask(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 1)
-	done := false
-	p.Submit(&Task{Duration: 0, Run: func() { done = true }}, -1, false)
+	done := &recorder{}
+	p.Submit(Task{Owner: done, Duration: 0}, -1, false)
 	eng.Run()
-	if !done {
+	if len(done.ran) != 1 {
 		t.Fatal("zero-duration task never ran")
 	}
 }
@@ -171,15 +167,23 @@ func TestPoolCompletionProperty(t *testing.T) {
 		n := int(workerCount%8) + 1
 		eng := sim.NewEngine()
 		p := New(eng, "global", n)
-		count := 0
-		for _, d := range durs {
-			p.Submit(&Task{
+		done := &recorder{}
+		for i, d := range durs {
+			p.Submit(Task{
+				Owner:    done,
+				Node:     int32(i),
 				Duration: time.Duration(d) * 100 * time.Microsecond,
-				Run:      func() { count++ },
 			}, int(d)%n, d%2 == 0)
 		}
 		eng.Run()
-		return count == len(durs) && p.Busy() == 0 && p.Queued() == 0
+		ran := slices.Clone(done.ran)
+		slices.Sort(ran)
+		for i, node := range ran {
+			if node != int32(i) {
+				return false
+			}
+		}
+		return len(ran) == len(durs) && p.Busy() == 0 && p.Queued() == 0
 	}
 	cfg := &quick.Config{MaxCount: 60}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -197,7 +201,7 @@ func TestPoolMakespanProperty(t *testing.T) {
 		p := New(eng, "global", w)
 		d := time.Millisecond
 		for i := 0; i < n; i++ {
-			p.Submit(&Task{Duration: d}, i%w, false)
+			p.Submit(Task{Duration: d}, i%w, false)
 		}
 		eng.Run()
 		if n == 0 {
@@ -209,5 +213,41 @@ func TestPoolMakespanProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// counter is a test Owner that only counts the tasks it runs.
+type counter struct{ n int }
+
+func (c *counter) RunTask(Task) { c.n++ }
+
+// TestPoolSubmitRunCycleAllocatesNothing pins the pool's share of the
+// kernel path at zero allocations once its queues have grown: tasks are
+// values in ring-buffer deques, and each worker's completion callback is
+// bound once. The cycle covers the front push, the tail steal and Abort.
+func TestPoolSubmitRunCycleAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New(eng, "global", 2)
+	kept, aborted := &counter{}, &counter{}
+	cycle := func() {
+		// The first two tasks occupy both workers; the rest queue on
+		// worker 0, alternating front and back pushes. Worker 1 then
+		// drains worker 0's queue by stealing from its tail.
+		for i := 0; i < 8; i++ {
+			p.Submit(Task{Owner: kept, Node: int32(i), Duration: time.Millisecond}, 0, i%2 == 0)
+			p.Submit(Task{Owner: aborted, Node: int32(i), Duration: time.Millisecond}, 0, i%2 == 1)
+		}
+		if got := p.Abort(aborted); got != 7 {
+			t.Errorf("Abort removed %d tasks, want 7 (one was running)", got)
+		}
+		eng.Run()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Submit/run cycle allocates %v times, want 0", n)
+	}
+	if kept.n != 8*102 || aborted.n != 102 {
+		t.Fatalf("ran %d kept and %d aborted-owner tasks, want %d and %d",
+			kept.n, aborted.n, 8*102, 102)
 	}
 }
