@@ -19,7 +19,10 @@
 //	POST /v1/gpus/{gpu}/undrain  make a drained GPU placeable again
 //	POST /v1/advance         advance virtual time (AdvanceRequest)
 //	GET  /v1/trace           Chrome trace-event JSON of the recorded window
-//	GET  /v1/metrics         observability-spine event counts + aggregates
+//	GET  /v1/metrics         cumulative spine event counts by kind (exact
+//	                         since start, not just the window), the window's
+//	                         retainedEvents/droppedEvents, and scheduler
+//	                         decision and fault aggregates
 package control
 
 import (
@@ -166,9 +169,10 @@ type Server struct {
 	// O(jobs) instead of scanning the whole 1..nextID id space.
 	order  []int
 	nextID int
-	// recorder captures the observability spine for /v1/trace and
-	// /v1/metrics. It is bounded (a ring of the most recent events) so a
-	// long-running server cannot grow without bound.
+	// recorder captures the observability spine. Its window is bounded
+	// (a ring of the most recent events, dumped by /v1/trace) so a
+	// long-running server cannot grow without bound; its cumulative
+	// per-kind counts answer /v1/metrics without touching the window.
 	recorder *obs.Recorder
 }
 
@@ -516,13 +520,19 @@ func (s *Server) advanceLocked(req AdvanceRequest) AdvanceResponse {
 }
 
 // MetricsInfo is the /v1/metrics payload: spine-wide event accounting
-// plus the scheduler's decision and fault aggregates.
+// plus the scheduler's decision and fault aggregates. The event counts
+// are cumulative since the server started and exact however long it has
+// run; the bounded trace window only limits what /v1/trace can show, so
+// Events == RetainedEvents + DroppedEvents always holds.
 type MetricsInfo struct {
-	// Events is how many spine events the trace recorder currently holds;
-	// DroppedEvents counts older events evicted by the bounded window.
-	Events        int    `json:"events"`
-	DroppedEvents uint64 `json:"droppedEvents"`
-	// ByKind breaks the retained events down by event kind.
+	// Events is how many spine events the recorder has observed since
+	// start. RetainedEvents is how many of them the trace window still
+	// holds; DroppedEvents is how many older ones the window evicted.
+	Events         int    `json:"events"`
+	RetainedEvents int    `json:"retainedEvents"`
+	DroppedEvents  uint64 `json:"droppedEvents"`
+	// ByKind breaks Events down by event kind (kinds never seen are
+	// omitted); its values sum to Events.
 	ByKind map[string]int `json:"byKind"`
 	// Scheduler decision counters and fault aggregates.
 	Preemptions int                   `json:"preemptions"`
@@ -550,18 +560,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) metricsLocked() MetricsInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	events := s.recorder.Events()
-	byKind := make(map[string]int)
-	for _, e := range events {
-		byKind[e.Kind.String()]++
+	// Sized for every kind up front, so a scrape allocates the same
+	// whatever the recorder has seen.
+	byKind := make(map[string]int, obs.NumKinds)
+	total := 0
+	for k := obs.KindKernelSpan; int(k) <= obs.NumKinds; k++ {
+		if n := int(s.recorder.Count(k)); n > 0 {
+			byKind[k.String()] = n
+			total += n
+		}
 	}
 	return MetricsInfo{
-		Events:        len(events),
-		DroppedEvents: s.recorder.Dropped(),
-		ByKind:        byKind,
-		Preemptions:   s.sched.Preemptions(),
-		Migrations:    s.sched.Migrations(),
-		Faults:        s.sched.FaultStats(),
+		Events:         total,
+		RetainedEvents: s.recorder.Len(),
+		DroppedEvents:  s.recorder.Dropped(),
+		ByKind:         byKind,
+		Preemptions:    s.sched.Preemptions(),
+		Migrations:     s.sched.Migrations(),
+		Faults:         s.sched.FaultStats(),
 	}
 }
 

@@ -289,6 +289,7 @@ func TestConcurrentClients(t *testing.T) {
 				doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 20}, nil)
 				doJSON(t, "GET", ts.URL+"/v1/jobs", nil, nil)
 				doJSON(t, "GET", ts.URL+"/v1/status", nil, nil)
+				doJSON(t, "GET", ts.URL+"/v1/metrics", nil, nil)
 			}
 		}()
 	}

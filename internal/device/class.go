@@ -6,6 +6,7 @@ package device
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -42,8 +43,29 @@ var CPUID = ID{Kind: KindCPU}
 // GPUID returns the identifier of the i-th GPU.
 func GPUID(i int) ID { return ID{Kind: KindGPU, Index: i} }
 
-// String implements fmt.Stringer.
-func (id ID) String() string { return fmt.Sprintf("%s:%d", id.Kind, id.Index) }
+// namedIndices is how many device indices per kind have a precomputed
+// name: well past the largest modeled machine (4 GPUs, one CPU).
+const namedIndices = 16
+
+// idNames holds the String of every id below namedIndices. Kernel-span,
+// launch and scheduler-decision events name their device on every emit,
+// so the common case must not format (and allocate) a fresh string.
+var idNames = func() (names [KindGPU + 1][namedIndices]string) {
+	for _, k := range []Kind{KindCPU, KindGPU} {
+		for i := range names[k] {
+			names[k][i] = k.String() + ":" + strconv.Itoa(i)
+		}
+	}
+	return names
+}()
+
+// String implements fmt.Stringer, e.g. "gpu:0".
+func (id ID) String() string {
+	if (id.Kind == KindCPU || id.Kind == KindGPU) && id.Index >= 0 && id.Index < namedIndices {
+		return idNames[id.Kind][id.Index]
+	}
+	return fmt.Sprintf("%s:%d", id.Kind, id.Index)
+}
 
 // GPUClass describes a GPU model's capabilities. Durations produced by the
 // cost model are derived from these numbers.

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"testing"
 
 	"switchflow/internal/sim"
@@ -89,10 +90,41 @@ func TestDeviceIDString(t *testing.T) {
 		{CPUID, "cpu:0"},
 		{GPUID(0), "gpu:0"},
 		{GPUID(3), "gpu:3"},
+		{GPUID(namedIndices - 1), "gpu:15"},
+		// Outside the precomputed table: formatted on the fly.
+		{GPUID(namedIndices), "gpu:16"},
+		{GPUID(123), "gpu:123"},
+		{GPUID(-1), "gpu:-1"},
+		{ID{Kind: KindCPU, Index: 40}, "cpu:40"},
+		{ID{}, "kind(0):0"},
+		{ID{Kind: Kind(9), Index: 2}, "kind(9):2"},
 	}
 	for _, tt := range tests {
 		if got := tt.id.String(); got != tt.want {
 			t.Errorf("%v.String() = %q, want %q", tt.id, got, tt.want)
 		}
 	}
+	// Every precomputed name is byte-identical to the formatted one.
+	for _, k := range []Kind{KindCPU, KindGPU} {
+		for i := -1; i <= namedIndices; i++ {
+			id := ID{Kind: k, Index: i}
+			if got, want := id.String(), fmt.Sprintf("%s:%d", k, i); got != want {
+				t.Errorf("%#v.String() = %q, want %q", id, got, want)
+			}
+		}
+	}
+}
+
+func TestDeviceIDStringDoesNotAllocate(t *testing.T) {
+	ids := []ID{CPUID, GPUID(0), GPUID(3), GPUID(namedIndices - 1)}
+	var sink string
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			sink = id.String()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ID.String allocated %.1f times per run for in-table ids, want 0", allocs)
+	}
+	_ = sink
 }

@@ -273,13 +273,16 @@ func (b *Bus) Emit(e Event) {
 
 // Recorder is a sink that retains events in emission order. With a
 // positive cap it keeps only the most recent cap events (a ring), so a
-// long-running server can expose a bounded trace window.
+// long-running server can expose a bounded trace window. Alongside the
+// window it counts every event it observes by kind, evicted ones
+// included, so aggregate queries never need to read the window.
 type Recorder struct {
 	cap     int
 	events  []Event
 	start   int // ring head when wrapped
 	wrapped bool
 	dropped uint64
+	counts  [1 << 8]uint64 // indexed by Kind, so no event goes uncounted
 }
 
 // NewRecorder creates a recorder retaining at most cap events; cap <= 0
@@ -288,8 +291,10 @@ func NewRecorder(cap int) *Recorder {
 	return &Recorder{cap: cap}
 }
 
-// Observe appends e, evicting the oldest event when the cap is reached.
+// Observe counts e and appends it, evicting the oldest event when the
+// cap is reached.
 func (r *Recorder) Observe(e Event) {
+	r.counts[e.Kind]++
 	if r.cap <= 0 || len(r.events) < r.cap {
 		r.events = append(r.events, e)
 		return
@@ -322,6 +327,11 @@ func (r *Recorder) Len() int { return len(r.events) }
 
 // Dropped returns how many events were evicted by the cap.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
+
+// Count returns how many events of kind k the recorder has observed since
+// it was created, evicted ones included. Summed over every kind it equals
+// Len()+Dropped(). It costs O(1) whatever the window size.
+func (r *Recorder) Count(k Kind) uint64 { return r.counts[k] }
 
 // Merge combines per-machine event streams into one deterministic total
 // order. Each input stream must already be in its own emission order (the

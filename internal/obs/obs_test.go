@@ -84,6 +84,38 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
+func TestRecorderCountsSurviveWrap(t *testing.T) {
+	r := NewRecorder(3)
+	kinds := []Kind{
+		KindKernelSpan, KindPreempt, KindKernelSpan, KindLaunch, KindPreempt,
+		KindKernelSpan, KindResume, KindKernelSpan, KindPreempt, KindLaunch,
+	}
+	want := map[Kind]uint64{}
+	for i, k := range kinds {
+		r.Observe(Event{Seq: uint64(i + 1), Kind: k})
+		want[k]++
+	}
+	var sum uint64
+	for k := Kind(0); k < numKinds; k++ {
+		if got := r.Count(k); got != want[k] {
+			t.Errorf("Count(%v) = %d, want %d (cumulative, evicted events included)", k, got, want[k])
+		}
+		sum += r.Count(k)
+	}
+	if total := uint64(r.Len()) + r.Dropped(); sum != total || sum != uint64(len(kinds)) {
+		t.Errorf("counts sum to %d, Len()+Dropped() = %d, observed %d", sum, total, len(kinds))
+	}
+	got := r.Events()
+	if len(got) != 3 {
+		t.Fatalf("Events() holds %d events, want the last 3", len(got))
+	}
+	for i, seq := range []uint64{8, 9, 10} {
+		if got[i].Seq != seq || got[i].Kind != kinds[seq-1] {
+			t.Errorf("Events()[%d] = seq %d %v, want seq %d %v", i, got[i].Seq, got[i].Kind, seq, kinds[seq-1])
+		}
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for k := KindKernelSpan; k < numKinds; k++ {
 		if s := k.String(); s == "" || s == "Unknown" {
