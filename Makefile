@@ -19,7 +19,7 @@ GOVULNCHECK_VERSION := v1.1.3
 # intentionally moves the trajectory; `make bench-trajectory` regenerates
 # it and `make bench-smoke` (the CI gate) compares a smoke-sized run's
 # machine-portable ratios against it.
-BENCH_BASELINE := BENCH_010.json
+BENCH_BASELINE := BENCH_015.json
 
 all: build vet lint test race
 
@@ -70,8 +70,9 @@ bench-json:
 	go test -json -run='^$$' -bench=. -benchmem ./... | tee bench_output.json
 
 # Regenerate the committed engine-performance baseline: full-size micro
-# (wheel vs heap at depths 256/4k/64k) and macro (serial vs sharded
-# fleet) runs, normalized into $(BENCH_BASELINE). Run on a quiet machine.
+# (wheel vs heap at depths 256/4k/64k and on the kernel cycle) and macro
+# (serial vs sharded fleet) runs, normalized into $(BENCH_BASELINE). Run
+# on a quiet machine.
 bench-trajectory:
 	go run ./cmd/swbench -exp engine -bench-label $(basename $(BENCH_BASELINE)) -bench-out $(BENCH_BASELINE)
 

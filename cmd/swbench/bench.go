@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,14 +39,29 @@ type benchReport struct {
 	Schema string        `json:"schema"`
 	Label  string        `json:"label"`
 	Smoke  bool          `json:"smoke"`
+	Host   benchHost     `json:"host"`
 	Micro  []microResult `json:"micro"`
 	Macro  []macroResult `json:"macro"`
 }
 
+// benchHost records the machine a report was measured on. Raw ns/event
+// and wall times only compare between reports from like hosts.
+type benchHost struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+}
+
+// microCells names the micro workloads, each measured on both engines
+// and gated on its wheel-vs-heap speedup.
+var microCells = []string{"schedule_step", "reschedule_storm", "kernel_cycle"}
+
 // microResult is one engine micro-benchmark: a (workload, depth, engine)
 // cell.
 type microResult struct {
-	Name        string  `json:"name"`   // schedule_step | reschedule_storm
+	Name        string  `json:"name"`   // one of microCells
 	Depth       int     `json:"depth"`  // standing queue depth
 	Engine      string  `json:"engine"` // wheel | heap
 	NsPerEvent  float64 `json:"ns_per_event"`
@@ -85,7 +101,13 @@ type benchOpts struct {
 // JSON artifact when requested, and compares against a baseline when
 // requested. It returns an error on regression.
 func engineBench(opts benchOpts) error {
-	report := benchReport{Schema: benchSchema, Label: opts.label, Smoke: opts.smoke}
+	report := benchReport{Schema: benchSchema, Label: opts.label, Smoke: opts.smoke, Host: benchHost{
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+	}}
 
 	// Micro iterations stay full-size even in smoke mode: at depth 64k
 	// the wheel needs ~1M iterations to amortize its cascades, and a
@@ -109,6 +131,12 @@ func engineBench(opts benchOpts) error {
 			printMicro(m)
 		}
 		for _, m := range microPair("reschedule_storm", depth, microIters, benchStormWheel, benchStormHeap) {
+			report.Micro = append(report.Micro, m)
+			printMicro(m)
+		}
+	}
+	for _, depth := range []int{4, 64} {
+		for _, m := range microPair("kernel_cycle", depth, microIters, benchKernelCycleWheel, benchKernelCycleHeap) {
 			report.Micro = append(report.Micro, m)
 			printMicro(m)
 		}
@@ -169,20 +197,29 @@ func printMicro(m microResult) {
 		m.Name, m.Depth, m.Engine, m.NsPerEvent, m.AllocsPerOp, m.EventsPerS/1e6)
 }
 
+// microRounds is how many alternating wheel/heap rounds each micro cell
+// runs. A cell reports each engine's median round, so a moment of host
+// contention costs one round, not one engine's whole sample.
+const microRounds = 3
+
 // microPair measures one workload at one depth on both engines.
 func microPair(name string, depth, iters int, wheel, heap func(depth, iters int) (time.Duration, float64)) []microResult {
-	out := make([]microResult, 0, 2)
-	for _, eng := range []string{"wheel", "heap"} {
-		fn := wheel
-		if eng == "heap" {
-			fn = heap
+	out := []microResult{
+		{Name: name, Depth: depth, Engine: "wheel"},
+		{Name: name, Depth: depth, Engine: "heap"},
+	}
+	var rounds [2][]float64
+	for r := 0; r < microRounds; r++ {
+		for i, fn := range []func(depth, iters int) (time.Duration, float64){wheel, heap} {
+			elapsed, allocs := fn(depth, iters)
+			rounds[i] = append(rounds[i], float64(elapsed.Nanoseconds())/float64(iters))
+			out[i].AllocsPerOp = max(out[i].AllocsPerOp, allocs)
 		}
-		elapsed, allocs := fn(depth, iters)
-		ns := float64(elapsed.Nanoseconds()) / float64(iters)
-		out = append(out, microResult{
-			Name: name, Depth: depth, Engine: eng,
-			NsPerEvent: ns, AllocsPerOp: allocs, EventsPerS: 1e9 / ns,
-		})
+	}
+	for i := range out {
+		slices.Sort(rounds[i])
+		out[i].NsPerEvent = rounds[i][microRounds/2]
+		out[i].EventsPerS = 1e9 / out[i].NsPerEvent
 	}
 	return out
 }
@@ -309,6 +346,64 @@ func benchStormHeap(depth, iters int) (time.Duration, float64) {
 	return total, allocs
 }
 
+// kernelDelays returns a deterministic stream of kernel-cycle delays:
+// 96% uniform in [1µs, 8µs), 4% uniform in [65µs, 1ms).
+func kernelDelays() func() time.Duration {
+	x := uint64(0x9e3779b97f4a7c15)
+	return func() time.Duration {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		r := time.Duration(x >> 8)
+		if x%25 == 0 {
+			return 65*time.Microsecond + r%(time.Millisecond-65*time.Microsecond)
+		}
+		return time.Microsecond + r%(7*time.Microsecond)
+	}
+}
+
+// microQueue is what the kernel cycle needs of either engine.
+type microQueue[E any] interface {
+	Schedule(at time.Duration, fn func()) E
+	Step() bool
+	Now() time.Duration
+}
+
+// benchKernelCycle is the fleet's kernel path seen from the engine: depth
+// events pending (a worker-done and a GPU-complete per kernel in flight),
+// each fired event replaced by one a few microseconds out, with a slow
+// tail of data-pipeline and arrival timers. The warm-up spans several
+// tick windows, so the wheel is timed at the tick the delays settle it on.
+func benchKernelCycle[E any](q microQueue[E], depth, iters int) (time.Duration, float64) {
+	fn := func() {}
+	delay := kernelDelays()
+	for i := 0; i < depth; i++ {
+		q.Schedule(delay(), fn)
+	}
+	cycle := func() {
+		q.Schedule(q.Now()+delay(), fn)
+		q.Step()
+	}
+	for i := 0; i < 8192; i++ {
+		cycle()
+	}
+	elapsed := stopwatch()
+	for i := 0; i < iters; i++ {
+		cycle()
+	}
+	total := elapsed()
+	allocs := testing.AllocsPerRun(1000, cycle)
+	return total, allocs
+}
+
+func benchKernelCycleWheel(depth, iters int) (time.Duration, float64) {
+	return benchKernelCycle[sim.Event](sim.NewEngine(), depth, iters)
+}
+
+func benchKernelCycleHeap(depth, iters int) (time.Duration, float64) {
+	return benchKernelCycle[sim.HeapEvent](sim.NewHeapEngine(), depth, iters)
+}
+
 // fleetMacro advances a collocated training+serving fleet to the horizon
 // with the given worker count and reports wall time, total engine events
 // fired across the nodes, heap allocations made during the advance, and
@@ -373,7 +468,7 @@ func mustModel(name string) *models.Spec {
 // uses.
 func printSpeedups(r benchReport) {
 	header(os.Stdout, "Speedups (machine-portable regression metrics)")
-	for _, name := range []string{"schedule_step", "reschedule_storm"} {
+	for _, name := range microCells {
 		for _, depth := range microDepths(r, name) {
 			if s, ok := microSpeedup(r, name, depth); ok {
 				fmt.Printf("wheel vs heap  %-18s depth %6d: %5.2fx\n", name, depth, s)
@@ -500,7 +595,7 @@ const macroAllocCeiling = 0.5
 // invalidating old baselines.
 func checkRegression(cur, base benchReport) error {
 	var failures []string
-	for _, name := range []string{"schedule_step", "reschedule_storm"} {
+	for _, name := range microCells {
 		for _, depth := range microDepths(base, name) {
 			bs, ok1 := microSpeedup(base, name, depth)
 			cs, ok2 := microSpeedup(cur, name, depth)

@@ -59,8 +59,7 @@ var opFootprint = map[graph.OpType]float64{
 }
 
 // kernelKey identifies a kernel cost-model evaluation: the op signature
-// (family, FLOPs, memory traffic) and the GPU class it runs on. Identical
-// kernels are re-costed on every iteration of every run and every
+// (family, FLOPs, memory traffic) and the GPU class it runs on. Every
 // experiment cell rebuilds the same model graphs, so the result is worth
 // memoizing globally.
 type kernelKey struct {
@@ -77,28 +76,22 @@ var kernelMemo sync.Map // kernelKey -> time.Duration
 
 // KernelDuration returns the solo execution time of node n on a GPU of the
 // given class: max(compute time, memory time) under the roofline model.
-// Send/Recv and CPU-only ops have no GPU kernel and return zero. Results
-// are memoized twice over: a per-node slot serves the steady-state case
-// (the same node re-costed every iteration on the same GPU), and a global
-// per-(op signature, GPU class) table shares results across the identical
-// model graphs that every experiment cell rebuilds.
+// Send/Recv and CPU-only ops have no GPU kernel and return zero, and so
+// does every op on the zero class, which stands for no GPU at all.
+// Results are memoized in a global per-(op signature, GPU class) table
+// shared across the identical model graphs that every experiment cell
+// rebuilds; executors price each op once per run configuration on top of
+// it (graph.Launch).
 func KernelDuration(n *graph.Node, class device.GPUClass) time.Duration {
-	if d, ok := n.CachedKernelDuration(class); ok {
-		return d
-	}
-	if _, ok := computeEfficiency[n.Op]; !ok {
-		n.SetCachedKernelDuration(class, 0)
+	if _, ok := computeEfficiency[n.Op]; !ok || class == (device.GPUClass{}) {
 		return 0
 	}
 	key := kernelKey{op: n.Op, flops: n.FLOPs, mem: n.MemBytes, class: class}
-	var d time.Duration
 	if v, ok := kernelMemo.Load(key); ok {
-		d = v.(time.Duration)
-	} else {
-		d = kernelDurationSlow(n, class)
-		kernelMemo.Store(key, d)
+		return v.(time.Duration)
 	}
-	n.SetCachedKernelDuration(class, d)
+	d := kernelDurationSlow(n, class)
+	kernelMemo.Store(key, d)
 	return d
 }
 
@@ -134,7 +127,10 @@ func Occupancy(n *graph.Node) float64 {
 
 // IsExpensive reproduces TF's executor cost classification: ops whose
 // estimated cost exceeds a threshold get their own local queue; cheap ops
-// ride on their parent's queue (§2.1).
+// ride on their parent's queue (§2.1). The dense-math and data families
+// are expensive on any device. Other ops are priced as kernels on class;
+// a CPU executor passes the zero class, where there is no kernel to price
+// and they are all inexpensive.
 func IsExpensive(n *graph.Node, class device.GPUClass) bool {
 	switch n.Op {
 	case graph.OpConv2D, graph.OpDepthwiseConv2D, graph.OpDense,

@@ -290,3 +290,32 @@ func TestSerialCPUEstimatePositive(t *testing.T) {
 		t.Fatalf("all-CPU estimate must be positive, got %v", total)
 	}
 }
+
+// TestZeroClassIsNeverPriced: a CPU executor classifies ops with the zero
+// GPU class. There is no kernel to price there, so only the always-
+// expensive families are expensive, and no zero-class result enters the
+// memo. Pricing it would divide by zero throughput and convert +Inf to a
+// Duration, a conversion the Go spec leaves to the platform.
+func TestZeroClassIsNeverPriced(t *testing.T) {
+	for _, op := range []graph.OpType{graph.OpBatchNorm, graph.OpPool, graph.OpActivation,
+		graph.OpAdd, graph.OpSoftmax, graph.OpLoss, graph.OpEmbedding} {
+		n := &graph.Node{Op: op, FLOPs: 7.7e9, MemBytes: 770 << 20}
+		if IsExpensive(n, device.GPUClass{}) {
+			t.Errorf("%v is expensive on a CPU executor", op)
+		}
+		if d := KernelDuration(n, device.GPUClass{}); d != 0 {
+			t.Errorf("%v on the zero class = %v, want 0", op, d)
+		}
+	}
+	for _, op := range []graph.OpType{graph.OpConv2D, graph.OpDense, graph.OpPreprocess} {
+		if !IsExpensive(&graph.Node{Op: op, FLOPs: 1}, device.GPUClass{}) {
+			t.Errorf("%v is inexpensive on a CPU executor", op)
+		}
+	}
+	kernelMemo.Range(func(k, _ any) bool {
+		if key := k.(kernelKey); key.class == (device.GPUClass{}) {
+			t.Errorf("memo holds a zero-class price for %v", key.op)
+		}
+		return true
+	})
+}

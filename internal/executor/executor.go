@@ -69,6 +69,10 @@ type Run struct {
 	// job, and the dependency bookkeeping is the executor's hottest path.
 	pending []int32
 	doneSet []bool
+	// launch prices each op of a GPU subgraph by node ID, shared by
+	// every run with the same GPU class and eager mode; nil for CPU
+	// subgraphs.
+	launch []graph.Launch
 	// shardsLeft counts, per node ID, the unfinished shards of a sharded
 	// CPU op; allocated on the first sharded dispatch.
 	shardsLeft []int32
@@ -102,6 +106,9 @@ func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Ru
 		onDone:  onDone,
 	}
 	copy(r.pending, plan.Deps)
+	if sub.Device.Kind == device.KindGPU {
+		r.launch = launchTable(sub, plan, cfg.Stream.GPU().Class, cfg.Eager)
+	}
 	if r.total == 0 {
 		eng.After(0, r.finish)
 		return r, nil
@@ -279,19 +286,40 @@ func (r *Run) RunTask(t threadpool.Task) {
 
 // workerTime is how long node n occupies the worker thread itself.
 func (r *Run) workerTime(n *graph.Node) time.Duration {
-	if r.sub.Device.Kind == device.KindCPU {
+	if r.launch == nil {
 		return cost.CPUDuration(n, r.cfg.CPUClass)
 	}
-	// GPU subgraph: the thread only pays launch overhead; ops without a
-	// kernel (Recv, NoOp) still cost a moment of bookkeeping.
-	var eager time.Duration
-	if r.cfg.Eager {
-		eager = eagerDispatchOverhead
+	return r.launch[n.ID].Worker
+}
+
+// launchTable returns sub's launch table for a GPU of the given class,
+// pricing every member op on first use. On a GPU executor the worker
+// thread only pays the launch overhead; ops without a kernel (Recv, NoOp)
+// still cost a moment of bookkeeping, and eager mode adds its dispatch
+// overhead to both.
+func launchTable(sub *graph.Subgraph, plan *graph.ExecPlan, class device.GPUClass, eager bool) []graph.Launch {
+	if ops := plan.LaunchTable(class, eager); ops != nil {
+		return ops
 	}
-	if cost.KernelDuration(n, r.cfg.Stream.GPU().Class) > 0 {
-		return eager + cost.LaunchOverhead(r.cfg.Stream.GPU().Class)
+	var dispatch time.Duration
+	if eager {
+		dispatch = eagerDispatchOverhead
 	}
-	return eager + time.Microsecond
+	ops := make([]graph.Launch, plan.NumNodes)
+	for _, n := range sub.Nodes {
+		l := graph.Launch{
+			Work:      cost.KernelDuration(n, class),
+			Worker:    dispatch + time.Microsecond,
+			Occupancy: cost.Occupancy(n),
+			Expensive: cost.IsExpensive(n, class),
+		}
+		if l.Work > 0 {
+			l.Worker = dispatch + cost.LaunchOverhead(class)
+		}
+		ops[n.ID] = l
+	}
+	plan.SetLaunchTable(class, eager, ops)
+	return ops
 }
 
 // intraOpShards is the MKL-style intra-op parallelism of a CPU compute
@@ -328,10 +356,9 @@ func (r *Run) process(n *graph.Node) {
 	switch {
 	case n.Op == graph.OpSend:
 		r.startSend(n)
-	case r.sub.Device.Kind == device.KindGPU:
-		class := r.cfg.Stream.GPU().Class
-		work := cost.KernelDuration(n, class)
-		if work == 0 {
+	case r.launch != nil:
+		l := &r.launch[n.ID]
+		if l.Work == 0 {
 			r.complete(n)
 			return
 		}
@@ -341,13 +368,13 @@ func (r *Run) process(n *graph.Node) {
 				Ctx:    r.cfg.Ctx,
 				Device: r.sub.Device.String(),
 				Name:   n.Name,
-				Dur:    work,
+				Dur:    l.Work,
 			})
 		}
 		r.cfg.Stream.Enqueue(device.Kernel{
 			Name:      n.Name,
-			Work:      work,
-			Occupancy: cost.Occupancy(n),
+			Work:      l.Work,
+			Occupancy: l.Occupancy,
 			Ctx:       r.cfg.Ctx,
 			Done:      r,
 			Tag:       int32(n.ID),
@@ -398,11 +425,7 @@ func (r *Run) complete(n *graph.Node) {
 		if deps-1 > 0 || r.suspended {
 			continue
 		}
-		class := device.GPUClass{}
-		if r.cfg.Stream != nil {
-			class = r.cfg.Stream.GPU().Class
-		}
-		if cost.IsExpensive(succ, class) {
+		if r.expensive(succ) {
 			// Expensive nodes get their own local queue (any worker).
 			r.dispatch(succ, -1, false)
 		} else {
@@ -413,6 +436,15 @@ func (r *Run) complete(n *graph.Node) {
 	if r.done == r.total && !r.suspended {
 		r.finish()
 	}
+}
+
+// expensive reports TF's expensive/inexpensive classification of n on this
+// run's device.
+func (r *Run) expensive(n *graph.Node) bool {
+	if r.launch == nil {
+		return cost.IsExpensive(n, device.GPUClass{})
+	}
+	return r.launch[n.ID].Expensive
 }
 
 func (r *Run) finish() {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"switchflow/internal/cost"
 	"switchflow/internal/device"
 	"switchflow/internal/graph"
 	"switchflow/internal/models"
@@ -563,5 +564,81 @@ func TestRunIterationAllocatesOnlyItsState(t *testing.T) {
 	}
 	if done != 2*52 {
 		t.Fatalf("%d iterations completed, want %d", done, 2*52)
+	}
+}
+
+// TestLaunchTableMatchesCostModel: a GPU subgraph's launch table holds,
+// for every member op, exactly what the cost model prices it at on that
+// class and eager mode; it is built once per (class, eager); and a run on
+// a GPU of another class launches that class's kernels.
+func TestLaunchTableMatchesCostModel(t *testing.T) {
+	spec, err := models.ByName("ResNet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := buildSubgraphs(t, spec, models.BuildConfig{Batch: 8, Training: true, Device: device.GPUID(0)})
+	sub := subs[len(subs)-1]
+	if sub.Device.Kind != device.KindGPU {
+		t.Fatalf("last subgraph is on %v, want a GPU", sub.Device)
+	}
+	plan := sub.Plan()
+	for _, class := range []device.GPUClass{device.ClassV100, device.ClassGTX1080Ti} {
+		for _, eager := range []bool{false, true} {
+			ops := launchTable(sub, plan, class, eager)
+			if again := launchTable(sub, plan, class, eager); &again[0] != &ops[0] {
+				t.Errorf("%s eager=%v: table priced twice", class.Name, eager)
+			}
+			var dispatch time.Duration
+			if eager {
+				dispatch = eagerDispatchOverhead
+			}
+			for _, n := range sub.Nodes {
+				work := cost.KernelDuration(n, class)
+				want := graph.Launch{
+					Work:      work,
+					Worker:    dispatch + time.Microsecond,
+					Occupancy: cost.Occupancy(n),
+					Expensive: cost.IsExpensive(n, class),
+				}
+				if work > 0 {
+					want.Worker = dispatch + cost.LaunchOverhead(class)
+				}
+				if got := ops[n.ID]; got != want {
+					t.Fatalf("%s eager=%v %s: entry %+v, want %+v", class.Name, eager, n.Name, got, want)
+				}
+			}
+		}
+	}
+
+	// One subgraph, run once on each GPU of a V100 + GTX 1080 Ti machine:
+	// every launch carries the kernel time of the GPU it runs on.
+	eng := sim.NewEngine()
+	machine := device.NewMachine(eng, device.ClassXeonDual, device.ClassV100, device.ClassGTX1080Ti)
+	pool := threadpool.New(eng, "global", 2)
+	small := layeredGPUGraph(t, 3, 2, 1e9)
+	var launched []time.Duration
+	machine.Bus().Subscribe(obs.SinkFunc(func(e obs.Event) {
+		launched = append(launched, e.Dur)
+	}), obs.KindLaunch)
+	for gpu := 0; gpu < 2; gpu++ {
+		launched = launched[:0]
+		stream := device.NewStream(machine.GPU(gpu))
+		cfg := Config{Pool: pool, CPUClass: machine.CPU, Stream: stream, Machine: machine, Bus: machine.Bus()}
+		if _, err := Start(eng, small, cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		want := cost.KernelDuration(small.Nodes[0], machine.GPU(gpu).Class)
+		if len(launched) != len(small.Nodes) {
+			t.Fatalf("gpu %d: %d launches, want %d", gpu, len(launched), len(small.Nodes))
+		}
+		for _, d := range launched {
+			if d != want {
+				t.Fatalf("gpu %d (%s): launched a %v kernel, want %v", gpu, machine.GPU(gpu).Class.Name, d, want)
+			}
+		}
+	}
+	if cost.KernelDuration(small.Nodes[0], device.ClassV100) == cost.KernelDuration(small.Nodes[0], device.ClassGTX1080Ti) {
+		t.Fatal("the two classes price the kernel alike; the test cannot tell them apart")
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"time"
 
 	"switchflow/internal/device"
 )
@@ -35,6 +36,49 @@ type ExecPlan struct {
 	// Ready lists member nodes with no intra-subgraph dependencies, in
 	// subgraph order.
 	Ready []*Node
+
+	// launches holds the launch tables priced so far, one per (GPU class,
+	// eager) the subgraph has run with; almost always exactly one.
+	launches []launchTable
+}
+
+// Launch is what one op costs a GPU executor, priced once per (GPU class,
+// eager) instead of on every iteration.
+type Launch struct {
+	// Work is the kernel's solo run time on the stream; zero for ops that
+	// launch no kernel.
+	Work time.Duration
+	// Worker is how long dispatching the op occupies a worker thread.
+	Worker time.Duration
+	// Occupancy is the kernel's launch occupancy in [0,1].
+	Occupancy float64
+	// Expensive sends the op to its own local queue when it becomes ready
+	// (TF's expensive/inexpensive classification).
+	Expensive bool
+}
+
+type launchTable struct {
+	class device.GPUClass
+	eager bool
+	ops   []Launch
+}
+
+// LaunchTable returns the launch table stored for (class, eager), indexed
+// by node ID, or nil when none is stored yet. The plan, like its graph, is
+// owned by a single engine, so no locking is needed.
+func (p *ExecPlan) LaunchTable(class device.GPUClass, eager bool) []Launch {
+	for i := range p.launches {
+		if t := &p.launches[i]; t.eager == eager && t.class == class {
+			return t.ops
+		}
+	}
+	return nil
+}
+
+// SetLaunchTable stores ops, indexed by node ID, as the launch table for
+// (class, eager).
+func (p *ExecPlan) SetLaunchTable(class device.GPUClass, eager bool, ops []Launch) {
+	p.launches = append(p.launches, launchTable{class: class, eager: eager, ops: ops})
 }
 
 // Plan returns the subgraph's executor bootstrap, computing and caching it

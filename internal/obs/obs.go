@@ -296,6 +296,9 @@ func NewRecorder(cap int) *Recorder {
 func (r *Recorder) Observe(e Event) {
 	r.counts[e.Kind]++
 	if r.cap <= 0 || len(r.events) < r.cap {
+		if len(r.events) == cap(r.events) && r.cap > 0 {
+			r.grow()
+		}
 		r.events = append(r.events, e)
 		return
 	}
@@ -306,6 +309,16 @@ func (r *Recorder) Observe(e Event) {
 	}
 	r.wrapped = true
 	r.dropped++
+}
+
+// grow doubles a capped window's backing array, but never past the cap.
+// append's own growth overshoots a 2^18-event cap by 15% (302,148
+// events, 36 MB) and, at its last step, holds a 29 MB old array and the
+// 36 MB new one live together.
+func (r *Recorder) grow() {
+	events := make([]Event, len(r.events), min(max(2*cap(r.events), 64), r.cap))
+	copy(events, r.events)
+	r.events = events
 }
 
 // Events returns the retained events in emission order. The returned

@@ -84,6 +84,25 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
+// TestRecorderRingBufferStopsAtCap: a capped recorder's buffer grows to
+// exactly its cap, so a large trace window holds no slack beyond it, and
+// the window still reads oldest first after the wrap.
+func TestRecorderRingBufferStopsAtCap(t *testing.T) {
+	const limit = 1000
+	r := NewRecorder(limit)
+	for i := 1; i <= 1500; i++ {
+		r.Observe(Event{Seq: uint64(i)})
+		if c := cap(r.events); c > limit {
+			t.Fatalf("after %d events the buffer holds %d, past the cap of %d", i, c, limit)
+		}
+	}
+	got := r.Events()
+	if len(got) != limit || got[0].Seq != 501 || got[limit-1].Seq != 1500 {
+		t.Fatalf("window holds %d events, %d..%d; want %d, 501..1500",
+			len(got), got[0].Seq, got[len(got)-1].Seq, limit)
+	}
+}
+
 func TestRecorderCountsSurviveWrap(t *testing.T) {
 	r := NewRecorder(3)
 	kinds := []Kind{

@@ -202,12 +202,42 @@ func TestWheelMatchesHeapDeepHorizon(t *testing.T) {
 	}
 }
 
+// tickPhaseScript schedules two tick windows of microsecond-scale delays
+// and then two of nanosecond-scale ones, stepping less often than it
+// schedules, so the wheel coarsens and then refines its tick with a
+// growing set of events pending across both reticks.
+func tickPhaseScript() []byte {
+	var data []byte
+	for i := 0; i < 2*tickWindow; i++ {
+		// op 2: delay = arg<<4 ns, arg in [256, 512): 4-8µs.
+		data = append(data, 2, 1, byte(i*37))
+		if i%4 != 3 {
+			data = append(data, 5)
+		}
+	}
+	for i := 0; i < 2*tickWindow; i++ {
+		// op 0: delay = arg ns, arg in [0, 64).
+		data = append(data, 0, byte(i*13%64))
+		if i%4 != 3 {
+			data = append(data, 5)
+		}
+	}
+	return data
+}
+
+// TestWheelMatchesHeapAcrossTickPhases runs the tick-phase script through
+// both engines.
+func TestWheelMatchesHeapAcrossTickPhases(t *testing.T) {
+	diffScript(t, tickPhaseScript())
+}
+
 // FuzzWheelMatchesHeap lets the fuzzer mutate raw op scripts directly, so
 // it can steer into orderings the seeded generator never produces.
 func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{0, 10, 5, 5, 5})
 	f.Add(scriptFromSeed(1, 256))
 	f.Add(scriptFromSeed(0xfeed, 1024))
+	f.Add(tickPhaseScript())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			data = data[:1<<14]

@@ -10,11 +10,12 @@
 // is a hierarchical timing wheel: three levels of 256 buckets each hold the
 // dense short-horizon events at amortized O(1) per schedule/fire/cancel,
 // and a 4-ary min-heap catches the far-future overflow beyond the wheel's
-// span. The wheel's tick is adaptive — it is re-derived from the observed
-// event density (pending span over pending count) whenever the overflow
-// heap or a single bucket shows the current resolution is mismatched — so
-// both nanosecond-spaced micro-benchmarks and minute-scale fleet runs stay
-// in the O(1) regime. Fired and cancelled events return to a free list so
+// span. The wheel's tick is adaptive: every tickWindow schedules it is
+// re-derived from the median schedule delay of that window, so the typical
+// event lands in level 0 a few ticks ahead of the cursor and is placed
+// once, not cascaded down. Nanosecond-spaced micro-benchmarks and
+// microsecond-spaced kernel cycles each get a tick to match, in either
+// direction. Fired and cancelled events return to a free list so
 // steady-state Schedule/Step cycles allocate nothing, and Cancel physically
 // unlinks the event instead of leaving a tombstone behind.
 //
@@ -41,16 +42,17 @@ const (
 	wheelLevels  = 3
 	wheelSpan    = wheelBits * wheelLevels // log2(ticks covered by the wheel)
 
-	// spanTargetBits sizes the adaptive tick: after a re-tick the pending
-	// span fits in 2^20 ticks, leaving 16x headroom inside the 2^24-tick
-	// wheel before overflow pressure builds again.
-	spanTargetBits = 20
-	// overflowRetickMin is the overflow population that triggers a
-	// coarser tick (the wheel's span is too small for the workload).
-	overflowRetickMin = 512
-	// insertWalkLimit bounds the sorted-insert walk before a finer tick
-	// is considered (one bucket is absorbing too many distinct times).
-	insertWalkLimit = 64
+	// tickWindow is the number of schedules whose delays decide the next
+	// tick. Each window's median delay sets the tick so that the median
+	// event lands 8 to 16 (2^tickMedianBits) ticks ahead: in level 0 (256
+	// ticks) with headroom for the slower tail, yet coarse enough that
+	// the common delays rarely cross into level 1 and cascade.
+	tickWindow     = 1024
+	tickMedianBits = 4
+	// tickHysteresis is the smallest shift change worth a retick: a
+	// median wandering across one power of two leaves the wheel alone.
+	tickHysteresis = 2
+
 	// insertWalkCap bounds a single sorted-insert walk. Past it the event
 	// is appended and the bucket marked dirty — sorted lazily (at drain,
 	// or when it becomes the firing candidate) so one fat bucket costs
@@ -161,16 +163,17 @@ type Engine struct {
 	wheelLive int
 	levels    [wheelLevels]wheelLevel
 
-	// maxAt is a monotone upper bound on the latest pending timestamp,
-	// reset when the engine drains; with pending it yields the observed
-	// event density that adaptive re-ticking derives the resolution from.
-	maxAt time.Duration
+	// delays is the current window's histogram of schedule delays by bit
+	// length (bits.Len64 of at - now); windowed counts how many schedules
+	// it holds. Both are virtual-time quantities, so the tick they derive
+	// is deterministic.
+	delays   [64]uint16
+	windowed int
 
-	overflow  []*event // far-future 4-ary min-heap ordered by (at, seq)
-	free      []*event // recycled event structs
-	scratch   []*event // reused by retick to stage relocations
-	sortbuf   []*event // reused by sortBucket to stage dirty buckets
-	reticking bool
+	overflow []*event // far-future 4-ary min-heap ordered by (at, seq)
+	free     []*event // recycled event structs
+	scratch  []*event // reused by retick to stage relocations
+	sortbuf  []*event // reused by sortBucket to stage dirty buckets
 }
 
 // NewEngine returns an empty engine positioned at virtual time zero.
@@ -190,8 +193,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.pending }
 
 // TickResolution returns the wheel's current tick as a duration. It is
-// adaptive: re-derived from observed event density as the workload's time
-// scale reveals itself. Exposed for tests and benchmark reports.
+// adaptive: re-derived from the median schedule delay of every tickWindow
+// schedules. Exposed for tests and benchmark reports.
 func (e *Engine) TickResolution() time.Duration { return time.Duration(1) << e.tickShift }
 
 // Schedule registers fn to run at absolute virtual time at. Scheduling in
@@ -211,29 +214,11 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 	}
 	e.seq++
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	if e.pending == 0 {
-		e.maxAt = e.now
-	}
-	if at > e.maxAt {
-		e.maxAt = at
-	}
 	e.pending++
-	walked := e.place(ev)
-	if !e.reticking {
-		if ev.loc == locOverflow {
-			// The wheel's span is too small for the workload's horizon:
-			// re-derive the tick from the observed density so the bulk of
-			// the pending set lives in the wheel, not the heap.
-			if n := len(e.overflow); n >= overflowRetickMin && n >= e.wheelLive {
-				e.retick(e.desiredShift())
-			}
-		} else if walked > insertWalkLimit && e.tickShift > 0 {
-			// One bucket is absorbing too many distinct timestamps: the
-			// tick is too coarse for how dense events actually are.
-			if d := e.desiredShift(); d < e.tickShift {
-				e.retick(d)
-			}
-		}
+	e.place(ev)
+	e.delays[bits.Len64(uint64(at-e.now))]++
+	if e.windowed++; e.windowed == tickWindow {
+		e.adaptTick()
 	}
 	return Event{ev: ev, seq: ev.seq, at: at}
 }
@@ -309,15 +294,14 @@ func (e *Engine) fire(ev *event) {
 }
 
 // place routes ev to its wheel level (or the overflow heap) relative to
-// the current cursor, returning the sorted-insert walk length for the
-// adaptive-resolution heuristics.
+// the current cursor.
 //
 // Level selection is by the highest differing bit between the event's tick
 // and the cursor: ticks sharing all but the low 8 bits land in level 0,
 // and so on. Events whose tick is below the cursor (the cursor runs ahead
 // of the clock after an idle jump) clamp into the cursor's own level-0
 // bucket; the bucket's (at, seq) sort keeps them firing first.
-func (e *Engine) place(ev *event) int {
+func (e *Engine) place(ev *event) {
 	t := uint64(ev.at) >> e.tickShift
 	c := e.cursor
 	if t < c {
@@ -326,14 +310,14 @@ func (e *Engine) place(ev *event) int {
 	diff := t ^ c
 	if diff>>wheelSpan != 0 {
 		e.overflowPush(ev)
-		return 0
+		return
 	}
 	lvl := 0
 	if diff != 0 {
 		lvl = (bits.Len64(diff) - 1) / wheelBits
 	}
 	idx := uint(t>>(uint(lvl)*wheelBits)) & wheelMask
-	return e.wheelInsert(lvl, idx, ev)
+	e.wheelInsert(lvl, idx, ev)
 }
 
 // wheelInsert links ev into the bucket's sorted list, walking from the
@@ -341,7 +325,7 @@ func (e *Engine) place(ev *event) int {
 // insertWalkCap gives up: the event is appended out of order and the
 // bucket marked dirty for a lazy sort, so a bucket absorbing events from
 // mixed horizons costs one O(b log b) sort instead of O(b) per insert.
-func (e *Engine) wheelInsert(lvl int, idx uint, ev *event) int {
+func (e *Engine) wheelInsert(lvl int, idx uint, ev *event) {
 	b := &e.levels[lvl].buckets[idx]
 	if b.dirty {
 		ev.prev, ev.next = b.tail, nil
@@ -350,7 +334,7 @@ func (e *Engine) wheelInsert(lvl int, idx uint, ev *event) int {
 		e.levels[lvl].occ[idx>>6] |= 1 << (idx & 63)
 		ev.loc, ev.bucket = int8(lvl), uint8(idx)
 		e.wheelLive++
-		return 0
+		return
 	}
 	walked := 0
 	cur := b.tail
@@ -364,7 +348,7 @@ func (e *Engine) wheelInsert(lvl int, idx uint, ev *event) int {
 			e.levels[lvl].occ[idx>>6] |= 1 << (idx & 63)
 			ev.loc, ev.bucket = int8(lvl), uint8(idx)
 			e.wheelLive++
-			return walked
+			return
 		}
 		cur = cur.prev
 		walked++
@@ -391,7 +375,6 @@ func (e *Engine) wheelInsert(lvl int, idx uint, ev *event) int {
 	e.levels[lvl].occ[idx>>6] |= 1 << (idx & 63)
 	ev.loc, ev.bucket = int8(lvl), uint8(idx)
 	e.wheelLive++
-	return walked
 }
 
 // wheelUnlink removes ev from its bucket list, clearing the occupancy bit
@@ -551,31 +534,32 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// desiredShift derives the tick resolution from the observed event
-// density: the pending span is squeezed into 2^spanTargetBits ticks, so
-// the wheel's 2^24-tick span keeps 16x headroom. A purely virtual-time
-// computation — re-ticking is deterministic.
-func (e *Engine) desiredShift() uint {
-	span := e.maxAt - e.now
-	if span <= 0 {
-		return 0
+// adaptTick closes a delay window: the tick becomes the median delay's
+// bit length less tickMedianBits, and the wheel is rebuilt when that
+// differs from the current tick by tickHysteresis or more.
+func (e *Engine) adaptTick() {
+	var shift uint
+	seen := 0
+	for l, n := range e.delays {
+		if seen += int(n); seen >= tickWindow/2 {
+			if l > tickMedianBits {
+				shift = uint(l - tickMedianBits)
+			}
+			break
+		}
 	}
-	s := bits.Len64(uint64(span))
-	if s <= spanTargetBits {
-		return 0
+	e.delays = [64]uint16{}
+	e.windowed = 0
+	if shift+tickHysteresis <= e.tickShift || shift >= e.tickShift+tickHysteresis {
+		e.retick(shift)
 	}
-	return uint(s - spanTargetBits)
 }
 
 // retick rebuilds the wheel at a new resolution, relocating every pending
 // event. Handles stay valid: event structs are relinked, never reallocated.
-// Amortized across the overflow/occupancy triggers this is rare; the cost
-// is one pass over the pending set.
+// It runs at most once per tickWindow schedules; the cost is one pass over
+// the pending set.
 func (e *Engine) retick(newShift uint) {
-	if e.reticking || newShift == e.tickShift {
-		return
-	}
-	e.reticking = true
 	evs := e.scratch[:0]
 	for lvl := range e.levels {
 		l := &e.levels[lvl]
@@ -607,7 +591,6 @@ func (e *Engine) retick(newShift uint) {
 		e.place(ev)
 	}
 	e.scratch = evs[:0]
-	e.reticking = false
 }
 
 // Overflow heap: the PR-1 4-ary min-heap, now demoted to catching events

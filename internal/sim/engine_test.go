@@ -351,3 +351,29 @@ func TestRunUntilBoundaryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTickFollowsScheduleDelays: a window of microsecond-scale delays
+// coarsens the tick so that those events land a few ticks ahead, and a
+// later window of nanosecond-scale delays makes it fine again.
+func TestTickFollowsScheduleDelays(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	cycle := func(delay time.Duration) {
+		for i := 0; i < tickWindow; i++ {
+			e.After(delay+time.Duration(i%7), fn)
+			e.Step()
+		}
+	}
+	cycle(4 * time.Microsecond)
+	if got := e.TickResolution(); got != 256*time.Nanosecond {
+		t.Fatalf("after 4µs delays the tick is %v, want 256ns", got)
+	}
+	cycle(20 * time.Nanosecond)
+	if got := e.TickResolution(); got != 2*time.Nanosecond {
+		t.Fatalf("after 20ns delays the tick is %v, want 2ns", got)
+	}
+	cycle(30 * time.Nanosecond)
+	if got := e.TickResolution(); got != 2*time.Nanosecond {
+		t.Fatalf("a one-bit change of the median reticked the wheel to %v", got)
+	}
+}
