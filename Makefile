@@ -13,13 +13,13 @@ STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
 .PHONY: all build vet lint test race bench bench-json bench-trajectory \
-	bench-smoke fleet-smoke gang-smoke results results-check examples trace install-lint-tools
+	bench-smoke fuzz-smoke fleet-smoke gang-smoke results results-check examples trace install-lint-tools
 
 # The committed engine-performance baseline. Bump the number when a PR
 # intentionally moves the trajectory; `make bench-trajectory` regenerates
 # it and `make bench-smoke` (the CI gate) compares a smoke-sized run's
 # machine-portable ratios against it.
-BENCH_BASELINE := BENCH_015.json
+BENCH_BASELINE := BENCH_016.json
 
 all: build vet lint test race
 
@@ -82,6 +82,14 @@ bench-trajectory:
 bench-smoke:
 	go run ./cmd/swbench -exp engine -bench-smoke -bench-label smoke \
 		-bench-out bench_smoke.json -bench-check $(BENCH_BASELINE)
+
+# CI smoke for the fuzz targets: about 10 s each of the timing wheel
+# against the heap reference, and of the pool's counted steal check
+# against a full scan. A failing input lands under the package's
+# testdata/fuzz and replays as a plain test.
+fuzz-smoke:
+	go test ./internal/sim -run '^$$' -fuzz '^FuzzWheelMatchesHeap$$' -fuzztime 10s
+	go test ./internal/threadpool -run '^$$' -fuzz '^FuzzPoolStealMatchesScan$$' -fuzztime 10s
 
 # CI smoke for the million-user fleet scenario, shrunk to a 30s window
 # and 100k clients (~10s wall serial): the three routing arms must be

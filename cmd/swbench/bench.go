@@ -72,10 +72,14 @@ type microResult struct {
 // macroResult is one fleet macro-benchmark: the sharded cluster advanced
 // serially (one worker) or in parallel.
 type macroResult struct {
-	Name       string  `json:"name"` // fleet
-	Nodes      int     `json:"nodes"`
-	Mode       string  `json:"mode"` // serial | sharded
+	Name  string `json:"name"` // fleet
+	Nodes int    `json:"nodes"`
+	Mode  string `json:"mode"` // serial | sharded
+	// WallSec is the median of macroRounds rounds, WallMinSec the
+	// fastest, and WallSpread (slowest - fastest) / median.
 	WallSec    float64 `json:"wall_sec"`
+	WallMinSec float64 `json:"wall_min_sec"`
+	WallSpread float64 `json:"wall_spread"`
 	Events     uint64  `json:"events"`
 	EventsPerS float64 `json:"events_per_sec"`
 	// Barrier imbalance across the node shards: max/mean and min/mean of
@@ -143,25 +147,13 @@ func engineBench(opts benchOpts) error {
 	}
 
 	header(os.Stdout, "Fleet macro: serial vs sharded epoch advance")
-	fmt.Printf("%-8s %8s %10s %12s %12s %9s %9s %9s %10s\n",
-		"name", "nodes", "mode", "wall s", "events", "kev/s", "max/mean", "min/mean", "allocs/ev")
+	fmt.Printf("%-8s %8s %10s %12s %12s %8s %12s %9s %9s %9s %10s\n",
+		"name", "nodes", "mode", "wall s", "min s", "spread", "events", "kev/s", "max/mean", "min/mean", "allocs/ev")
 	for _, nodes := range fleets {
-		for _, mode := range []string{"serial", "sharded"} {
-			workers := 1
-			if mode == "sharded" {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			wall, fired, mallocs, maxMean, minMean := fleetMacro(nodes, workers, horizon)
-			m := macroResult{
-				Name: "fleet", Nodes: nodes, Mode: mode,
-				WallSec: wall.Seconds(), Events: fired,
-				EventsPerS:   float64(fired) / wall.Seconds(),
-				ShardMaxMean: maxMean, ShardMinMean: minMean,
-				AllocsPerEvent: float64(mallocs) / float64(fired),
-			}
+		for _, m := range macroPair(nodes, horizon) {
 			report.Macro = append(report.Macro, m)
-			fmt.Printf("%-8s %8d %10s %12.3f %12d %9.1f %9.3f %9.3f %10.3f\n",
-				m.Name, m.Nodes, m.Mode, m.WallSec, m.Events, m.EventsPerS/1e3,
+			fmt.Printf("%-8s %8d %10s %12.3f %12.3f %8.3f %12d %9.1f %9.3f %9.3f %10.3f\n",
+				m.Name, m.Nodes, m.Mode, m.WallSec, m.WallMinSec, m.WallSpread, m.Events, m.EventsPerS/1e3,
 				m.ShardMaxMean, m.ShardMinMean, m.AllocsPerEvent)
 		}
 	}
@@ -220,6 +212,41 @@ func microPair(name string, depth, iters int, wheel, heap func(depth, iters int)
 		slices.Sort(rounds[i])
 		out[i].NsPerEvent = rounds[i][microRounds/2]
 		out[i].EventsPerS = 1e9 / out[i].NsPerEvent
+	}
+	return out
+}
+
+// macroRounds is how many alternating serial/sharded rounds each macro
+// fleet runs. A cell reports its median round, as micro cells do, plus
+// the fastest round and the spread.
+const macroRounds = 3
+
+// macroPair measures one fleet size advanced serially and sharded.
+func macroPair(nodes int, horizon time.Duration) []macroResult {
+	out := []macroResult{
+		{Name: "fleet", Nodes: nodes, Mode: "serial"},
+		{Name: "fleet", Nodes: nodes, Mode: "sharded"},
+	}
+	var walls [2][]float64
+	for r := 0; r < macroRounds; r++ {
+		for i := range out {
+			workers := 1
+			if out[i].Mode == "sharded" {
+				workers = runtime.GOMAXPROCS(0)
+			}
+			wall, fired, mallocs, maxMean, minMean := fleetMacro(nodes, workers, horizon)
+			walls[i] = append(walls[i], wall.Seconds())
+			m := &out[i]
+			m.Events, m.ShardMaxMean, m.ShardMinMean = fired, maxMean, minMean
+			m.AllocsPerEvent = max(m.AllocsPerEvent, float64(mallocs)/float64(fired))
+		}
+	}
+	for i := range out {
+		w, m := walls[i], &out[i]
+		slices.Sort(w)
+		m.WallSec, m.WallMinSec = w[macroRounds/2], w[0]
+		m.WallSpread = (w[macroRounds-1] - w[0]) / m.WallSec
+		m.EventsPerS = float64(m.Events) / m.WallSec
 	}
 	return out
 }

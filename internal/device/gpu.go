@@ -9,10 +9,10 @@ import (
 	"switchflow/internal/sim"
 )
 
-// Kernel is one unit of GPU work submitted for execution.
+// Kernel is one unit of GPU work submitted for execution. It is plain
+// data: the receiver is named by its registration index, and the kernel's
+// name is asked of the receiver only when a trace wants it.
 type Kernel struct {
-	// Name labels the kernel in traces, e.g. "conv2d_3/fwd".
-	Name string
 	// Work is the solo execution time of the kernel on this GPU.
 	Work time.Duration
 	// Occupancy in [0,1] is the fraction of GPU resources (registers,
@@ -23,18 +23,55 @@ type Kernel struct {
 	Occupancy float64
 	// Ctx identifies the owning context (job) for traces and accounting.
 	Ctx int
-	// Done, when set, is told of the kernel's completion, in virtual time,
-	// with Tag. A receiver plus a tag instead of a closure: the executor
-	// passes its run and the node ID, so launching a kernel builds nothing.
-	Done Completer
-	// Tag is handed back to Done.KernelDone.
+	// Recv is the registration index of the receiver told of the
+	// kernel's completion, in virtual time, with Tag (GPU.Register for
+	// kernels submitted to a GPU, Stream.Register for kernels enqueued on
+	// a stream). 0 tells nobody. A registered receiver plus a tag instead
+	// of a closure: the executor passes its run's index and the node ID,
+	// so launching a kernel builds nothing and copies no pointer.
+	Recv int32
+	// Tag is handed back to the receiver.
 	Tag int32
 }
 
-// Completer receives kernel completions.
+// Completer receives kernel completions. Completers are compared by
+// identity when they register, so they must be comparable (pointers, in
+// practice).
 type Completer interface {
 	// KernelDone reports that the kernel submitted with tag completed.
 	KernelDone(tag int32)
+	// KernelName labels the kernel submitted with tag in traces, e.g.
+	// "conv2d_3/fwd". It is asked only while a kernel-span sink listens.
+	KernelName(tag int32) string
+}
+
+// receivers is a table of registered Completers, indexed by Kernel.Recv.
+// Slot 0 is never handed out, so a zero Recv tells nobody.
+type receivers []Completer
+
+// register returns c's index, reusing c's own slot if it is registered
+// already, else the lowest free one.
+func (t *receivers) register(c Completer) int32 {
+	free := 0
+	for i := 1; i < len(*t); i++ {
+		switch (*t)[i] {
+		case c:
+			return int32(i)
+		case nil:
+			if free == 0 {
+				free = i
+			}
+		}
+	}
+	if free > 0 {
+		(*t)[free] = c
+		return int32(free)
+	}
+	if len(*t) == 0 {
+		*t = append(*t, nil) // slot 0 stays empty
+	}
+	*t = append(*t, c)
+	return int32(len(*t) - 1)
 }
 
 // Span records one executed kernel interval, for Figure 2 style timelines.
@@ -45,15 +82,27 @@ type Span struct {
 	End   time.Duration
 }
 
-// kernelExec is a kernel in flight or queued at the device. The device
-// holds them by value, in buffers it reuses, so a kernel's trip through
-// the device allocates nothing.
-type kernelExec struct {
-	Kernel
-
+// record is a kernel queued on a stream, queued at the GPU or running
+// there. It holds no pointer, so the buffers that move it copy and clear
+// it with plain stores, and the garbage collector never scans them.
+type record struct {
 	remaining float64 // seconds of solo work left
 	started   time.Duration
-	occ       float64
+	occ       float64 // occupancy, clamped to [0.05, 1]
+	ctx       int
+	recv      int32 // receiver index in the submitter's table
+	tag       int32
+}
+
+func newRecord(k Kernel) record {
+	occ := k.Occupancy
+	if occ < 0.05 {
+		occ = 0.05
+	}
+	if occ > 1 {
+		occ = 1
+	}
+	return record{remaining: k.Work.Seconds(), occ: occ, ctx: k.Ctx, recv: k.Recv, tag: k.Tag}
 }
 
 // contentionBeta is the per-extra-kernel slowdown when kernels do co-run
@@ -74,10 +123,11 @@ type GPU struct {
 	bus        *obs.Bus
 	id         ID
 	eng        *sim.Engine
-	running    []kernelExec
-	queue      ring.Deque[kernelExec]
-	done       []kernelExec // complete's scratch; complete never re-enters
-	completeFn func()       // g.complete, bound once
+	recv       receivers // the receivers kernels report to, by Kernel.Recv
+	running    []record
+	queue      ring.Deque[record]
+	done       []record // complete's scratch; complete never re-enters
+	completeFn func()   // g.complete, bound once
 	usedOcc    float64
 	lastUpdate time.Duration
 	completion sim.Event
@@ -119,31 +169,33 @@ func (g *GPU) EventBus() *obs.Bus {
 // SetBus points the GPU at a shared bus (called by NewMachine).
 func (g *GPU) SetBus(b *obs.Bus) { g.bus = b }
 
+// Register returns c's receiver index on this GPU, for Kernel.Recv.
+// Streams register once, in NewStream; registrations are never released,
+// as a stream lives as long as the job that owns it.
+func (g *GPU) Register(c Completer) int32 { return g.recv.register(c) }
+
 // Submit queues k for execution. It starts immediately if its occupancy
 // fits alongside the kernels already running, otherwise it waits FIFO.
 // Kernels submitted to a failed device are dropped and never complete,
 // like launches against a lost CUDA context; schedulers are expected to
 // abort the owning executor runs when they handle the device-lost fault.
-func (g *GPU) Submit(k Kernel) {
+func (g *GPU) Submit(k Kernel) { g.submit(newRecord(k)) }
+
+func (g *GPU) submit(r record) {
 	if g.failed {
 		g.dropped++
 		return
 	}
 	g.advance()
-	occ := k.Occupancy
-	if occ < 0.05 {
-		occ = 0.05
-	}
-	if occ > 1 {
-		occ = 1
-	}
-	g.queue.PushBack(kernelExec{
-		Kernel:    k,
-		remaining: k.Work.Seconds(),
-		occ:       occ,
-	})
 	g.launched++
-	g.admit()
+	// A kernel that finds nothing waiting and fits starts at once, without
+	// a trip through the FIFO.
+	if g.queue.Len() == 0 && !g.blocked(&r) {
+		g.start(r)
+	} else {
+		g.queue.PushBack(r)
+		g.admit()
+	}
 	g.reschedule()
 }
 
@@ -193,7 +245,7 @@ func (g *GPU) Slowdown() float64 {
 func (g *GPU) DroppedKernels() uint64 { return g.dropped }
 
 // Fail takes the device off the bus: every in-flight and queued kernel is
-// discarded without completing (their Done receivers are never told) and
+// discarded without completing (their receivers are never told) and
 // the memory pool's contents are lost. It returns the number of kernels
 // dropped. Further Submits are dropped too, until Heal.
 func (g *GPU) Fail() int {
@@ -206,7 +258,6 @@ func (g *GPU) Fail() int {
 	}
 	lost := len(g.running) + g.queue.Len()
 	g.dropped += uint64(lost)
-	clear(g.running)
 	g.running = g.running[:0]
 	g.queue.Clear()
 	g.usedOcc = 0
@@ -259,17 +310,24 @@ func (g *GPU) OutstandingWork() time.Duration {
 // (a big kernel at the head blocks the lane, like a hardware work queue).
 func (g *GPU) admit() {
 	for g.queue.Len() > 0 {
-		if g.usedOcc+g.queue.At(0).occ > 1.0001 {
+		if g.blocked(g.queue.At(0)) {
 			return
 		}
-		head := g.queue.PopFront()
-		if len(g.running) == 0 {
-			g.busySince = g.eng.Now()
-		}
-		head.started = g.eng.Now()
-		g.usedOcc += head.occ
-		g.running = append(g.running, head)
+		g.start(g.queue.PopFront())
 	}
+}
+
+// blocked reports whether r does not fit beside the running kernels.
+func (g *GPU) blocked(r *record) bool { return g.usedOcc+r.occ > 1.0001 }
+
+// start moves r into execution.
+func (g *GPU) start(r record) {
+	if len(g.running) == 0 {
+		g.busySince = g.eng.Now()
+	}
+	r.started = g.eng.Now()
+	g.usedOcc += r.occ
+	g.running = append(g.running, r)
 }
 
 // advance applies elapsed virtual time to running kernels at the current
@@ -347,7 +405,6 @@ func (g *GPU) complete() {
 		}
 		kept++
 	}
-	clear(g.running[kept:])
 	g.running = g.running[:kept]
 	if len(g.running) == 0 {
 		if len(done) > 0 {
@@ -359,21 +416,28 @@ func (g *GPU) complete() {
 	emitSpans := g.bus.Wants(obs.KindKernelSpan)
 	for i := range done {
 		e := &done[i]
+		var c Completer
+		if e.recv != 0 {
+			c = g.recv[e.recv]
+		}
 		if emitSpans {
+			name := ""
+			if c != nil {
+				name = c.KernelName(e.tag)
+			}
 			g.bus.Emit(obs.Event{
 				Kind:   obs.KindKernelSpan,
-				Ctx:    e.Ctx,
+				Ctx:    e.ctx,
 				Device: g.id.String(),
-				Name:   e.Name,
+				Name:   name,
 				Start:  e.started,
 				Dur:    g.eng.Now() - e.started,
 			})
 		}
-		if e.Done != nil {
-			e.Done.KernelDone(e.Tag)
+		if c != nil {
+			c.KernelDone(e.tag)
 		}
 	}
-	clear(done)
 	g.done = done[:0]
 	// Callbacks may have submitted new kernels (Submit reschedules), but
 	// if they did not we still need a completion event for survivors.

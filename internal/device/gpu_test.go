@@ -10,11 +10,26 @@ import (
 	"switchflow/internal/sim"
 )
 
-// doneFunc adapts a plain callback to Completer. A func value is
-// pointer-shaped, so storing one in the interface allocates nothing.
-type doneFunc func()
+// doneFunc adapts a plain callback to Completer. It is a pointer type:
+// receivers register by identity, and comparing func values panics.
+type doneFunc struct {
+	name string
+	fn   func()
+}
 
-func (f doneFunc) KernelDone(int32) { f() }
+func (f *doneFunc) KernelDone(int32) {
+	if f.fn != nil {
+		f.fn()
+	}
+}
+
+func (f *doneFunc) KernelName(int32) string { return f.name }
+
+// recv registers fn as a receiver with r (a GPU or a stream) and returns
+// its index, for Kernel.Recv.
+func recv(r interface{ Register(Completer) int32 }, fn func()) int32 {
+	return r.Register(&doneFunc{fn: fn})
+}
 
 func newTestGPU() (*sim.Engine, *GPU) {
 	eng := sim.NewEngine()
@@ -25,10 +40,9 @@ func TestGPUSingleKernelRunsAtSoloSpeed(t *testing.T) {
 	eng, gpu := newTestGPU()
 	var done time.Duration = -1
 	gpu.Submit(Kernel{
-		Name:      "k",
 		Work:      10 * time.Millisecond,
 		Occupancy: 0.9,
-		Done:      doneFunc(func() { done = eng.Now() }),
+		Recv:      recv(gpu, func() { done = eng.Now() }),
 	})
 	eng.Run()
 	if done != 10*time.Millisecond {
@@ -43,11 +57,10 @@ func TestGPUHeavyKernelsSerialize(t *testing.T) {
 	var ends []time.Duration
 	for i := 0; i < 2; i++ {
 		gpu.Submit(Kernel{
-			Name:      "heavy",
 			Work:      10 * time.Millisecond,
 			Occupancy: 0.9,
 			Ctx:       i,
-			Done:      doneFunc(func() { ends = append(ends, eng.Now()) }),
+			Recv:      recv(gpu, func() { ends = append(ends, eng.Now()) }),
 		})
 	}
 	if gpu.Active() != 1 || gpu.Waiting() != 1 {
@@ -66,10 +79,9 @@ func TestGPULightKernelsOverlap(t *testing.T) {
 	var last time.Duration
 	for i := 0; i < 2; i++ {
 		gpu.Submit(Kernel{
-			Name:      "light",
 			Work:      10 * time.Millisecond,
 			Occupancy: 0.3,
-			Done:      doneFunc(func() { last = eng.Now() }),
+			Recv:      recv(gpu, func() { last = eng.Now() }),
 		})
 	}
 	if gpu.Active() != 2 {
@@ -88,9 +100,9 @@ func TestGPUHeavyBlocksLight(t *testing.T) {
 	// the lane waits (head-of-line, like a hardware work queue).
 	eng, gpu := newTestGPU()
 	var lightEnd time.Duration
-	gpu.Submit(Kernel{Name: "heavy", Work: 10 * time.Millisecond, Occupancy: 0.9})
-	gpu.Submit(Kernel{Name: "light", Work: time.Millisecond, Occupancy: 0.3,
-		Done: doneFunc(func() { lightEnd = eng.Now() })})
+	gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Work: time.Millisecond, Occupancy: 0.3,
+		Recv: recv(gpu, func() { lightEnd = eng.Now() })})
 	eng.Run()
 	if lightEnd != 11*time.Millisecond {
 		t.Fatalf("light kernel ended at %v, want 11ms (after heavy)", lightEnd)
@@ -102,11 +114,11 @@ func TestGPUStaggeredHeavySubmission(t *testing.T) {
 	// "waiting to be issued" serialization of Figure 2.
 	eng, gpu := newTestGPU()
 	ends := map[string]time.Duration{}
-	gpu.Submit(Kernel{Name: "k1", Work: 10 * time.Millisecond, Occupancy: 0.9,
-		Done: doneFunc(func() { ends["k1"] = eng.Now() })})
+	gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9,
+		Recv: recv(gpu, func() { ends["k1"] = eng.Now() })})
 	eng.After(5*time.Millisecond, func() {
-		gpu.Submit(Kernel{Name: "k2", Work: 10 * time.Millisecond, Occupancy: 0.9,
-			Done: doneFunc(func() { ends["k2"] = eng.Now() })})
+		gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9,
+			Recv: recv(gpu, func() { ends["k2"] = eng.Now() })})
 	})
 	eng.Run()
 	if ends["k1"] != 10*time.Millisecond {
@@ -119,11 +131,11 @@ func TestGPUStaggeredHeavySubmission(t *testing.T) {
 
 func TestGPUBusyTimeAccounting(t *testing.T) {
 	eng, gpu := newTestGPU()
-	gpu.Submit(Kernel{Name: "a", Work: 4 * time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Work: 4 * time.Millisecond, Occupancy: 0.9})
 	eng.Run()
 	eng.RunUntil(20 * time.Millisecond) // idle gap
 	eng.Schedule(20*time.Millisecond, func() {
-		gpu.Submit(Kernel{Name: "b", Work: 6 * time.Millisecond, Occupancy: 0.9})
+		gpu.Submit(Kernel{Work: 6 * time.Millisecond, Occupancy: 0.9})
 	})
 	eng.Run()
 	if got, want := gpu.BusyTime(), 10*time.Millisecond; got != want {
@@ -133,8 +145,8 @@ func TestGPUBusyTimeAccounting(t *testing.T) {
 
 func TestGPUOutstandingWorkIncludesQueue(t *testing.T) {
 	eng, gpu := newTestGPU()
-	gpu.Submit(Kernel{Name: "a", Work: 10 * time.Millisecond, Occupancy: 0.9})
-	gpu.Submit(Kernel{Name: "b", Work: 10 * time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9})
 	var outstanding time.Duration
 	eng.Schedule(4*time.Millisecond, func() { outstanding = gpu.OutstandingWork() })
 	eng.Run()
@@ -156,7 +168,8 @@ func collectSpans(gpu *GPU) *[]Span {
 func TestGPUEmitsKernelSpans(t *testing.T) {
 	eng, gpu := newTestGPU()
 	spansp := collectSpans(gpu)
-	gpu.Submit(Kernel{Name: "k", Ctx: 7, Work: 3 * time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Ctx: 7, Work: 3 * time.Millisecond, Occupancy: 0.9,
+		Recv: gpu.Register(&doneFunc{name: "k"})})
 	eng.Run()
 	spans := *spansp
 	if len(spans) != 1 {
@@ -172,7 +185,7 @@ func TestGPUSpanSinksCompose(t *testing.T) {
 	eng, gpu := newTestGPU()
 	first := collectSpans(gpu)
 	second := collectSpans(gpu)
-	gpu.Submit(Kernel{Name: "k", Ctx: 1, Work: time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Ctx: 1, Work: time.Millisecond, Occupancy: 0.9})
 	eng.Run()
 	if len(*first) != 1 || len(*second) != 1 {
 		t.Fatalf("both sinks should observe the span: first=%d second=%d", len(*first), len(*second))
@@ -182,8 +195,8 @@ func TestGPUSpanSinksCompose(t *testing.T) {
 func TestGPUSpanStartIsAdmissionTime(t *testing.T) {
 	eng, gpu := newTestGPU()
 	spansp := collectSpans(gpu)
-	gpu.Submit(Kernel{Name: "a", Work: 10 * time.Millisecond, Occupancy: 0.9})
-	gpu.Submit(Kernel{Name: "b", Work: 5 * time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(Kernel{Work: 5 * time.Millisecond, Occupancy: 0.9})
 	eng.Run()
 	spans := *spansp
 	if len(spans) != 2 {
@@ -197,11 +210,11 @@ func TestGPUSpanStartIsAdmissionTime(t *testing.T) {
 func TestGPUChainedSubmissionFromCallback(t *testing.T) {
 	eng, gpu := newTestGPU()
 	var ends []time.Duration
-	gpu.Submit(Kernel{Name: "first", Work: time.Millisecond, Occupancy: 0.9,
-		Done: doneFunc(func() {
+	gpu.Submit(Kernel{Work: time.Millisecond, Occupancy: 0.9,
+		Recv: recv(gpu, func() {
 			ends = append(ends, eng.Now())
-			gpu.Submit(Kernel{Name: "second", Work: time.Millisecond, Occupancy: 0.9,
-				Done: doneFunc(func() { ends = append(ends, eng.Now()) })})
+			gpu.Submit(Kernel{Work: time.Millisecond, Occupancy: 0.9,
+				Recv: recv(gpu, func() { ends = append(ends, eng.Now()) })})
 		})})
 	eng.Run()
 	if len(ends) != 2 {
@@ -238,8 +251,8 @@ func TestGPUWorkConservationProperty(t *testing.T) {
 			d := time.Duration(delays[i]) * 50 * time.Microsecond
 			occ := float64(occs[i]%10) / 10
 			eng.Schedule(d, func() {
-				gpu.Submit(Kernel{Name: "p", Work: w, Occupancy: occ,
-					Done: doneFunc(func() { completions++ })})
+				gpu.Submit(Kernel{Work: w, Occupancy: occ,
+					Recv: recv(gpu, func() { completions++ })})
 			})
 		}
 		eng.Run()
@@ -260,9 +273,9 @@ func TestGPUFIFOProperty(t *testing.T) {
 		for i, w := range works {
 			i := i
 			gpu.Submit(Kernel{
-				Name: "k", Work: time.Duration(w+1) * 10 * time.Microsecond,
+				Work:      time.Duration(w+1) * 10 * time.Microsecond,
 				Occupancy: 0.9,
-				Done:      doneFunc(func() { order = append(order, i) }),
+				Recv:      recv(gpu, func() { order = append(order, i) }),
 			})
 		}
 		eng.Run()
@@ -285,11 +298,14 @@ func newTally() *tally { return &tally{byTag: map[int32]int{}} }
 
 func (c *tally) KernelDone(tag int32) { c.byTag[tag]++ }
 
+func (c *tally) KernelName(int32) string { return "" }
+
 func TestGPUFailDropsKernelsWithoutCompleting(t *testing.T) {
 	eng, gpu := newTestGPU()
 	done := newTally()
-	gpu.Submit(Kernel{Name: "running", Work: 10 * time.Millisecond, Occupancy: 0.9, Done: done, Tag: 1})
-	gpu.Submit(Kernel{Name: "queued", Work: 10 * time.Millisecond, Occupancy: 0.9, Done: done, Tag: 2})
+	id := gpu.Register(done)
+	gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9, Recv: id, Tag: 1})
+	gpu.Submit(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9, Recv: id, Tag: 2})
 	eng.Schedule(5*time.Millisecond, func() {
 		if lost := gpu.Fail(); lost != 2 {
 			t.Errorf("Fail dropped %d kernels, want 2", lost)
@@ -298,7 +314,7 @@ func TestGPUFailDropsKernelsWithoutCompleting(t *testing.T) {
 	eng.Schedule(6*time.Millisecond, gpu.Heal)
 	// The dropped kernels' slots are reused by the next submissions.
 	eng.Schedule(7*time.Millisecond, func() {
-		gpu.Submit(Kernel{Name: "after", Work: time.Millisecond, Occupancy: 0.9, Done: done, Tag: 3})
+		gpu.Submit(Kernel{Work: time.Millisecond, Occupancy: 0.9, Recv: id, Tag: 3})
 	})
 	eng.Run()
 	if len(done.byTag) != 1 || done.byTag[3] != 1 {
@@ -316,11 +332,12 @@ func TestGPUFailDropsKernelsWithoutCompleting(t *testing.T) {
 func TestGPUSubmitCompleteCycleAllocatesNothing(t *testing.T) {
 	eng, gpu := newTestGPU()
 	done := newTally()
+	id := gpu.Register(done)
 	cycle := func() {
 		// Two light kernels co-run and a heavy one queues behind them.
-		gpu.Submit(Kernel{Name: "a", Work: time.Millisecond, Occupancy: 0.3, Done: done, Tag: 1})
-		gpu.Submit(Kernel{Name: "b", Work: 2 * time.Millisecond, Occupancy: 0.3, Done: done, Tag: 2})
-		gpu.Submit(Kernel{Name: "c", Work: time.Millisecond, Occupancy: 0.9, Done: done, Tag: 3})
+		gpu.Submit(Kernel{Work: time.Millisecond, Occupancy: 0.3, Recv: id, Tag: 1})
+		gpu.Submit(Kernel{Work: 2 * time.Millisecond, Occupancy: 0.3, Recv: id, Tag: 2})
+		gpu.Submit(Kernel{Work: time.Millisecond, Occupancy: 0.9, Recv: id, Tag: 3})
 		eng.Run()
 	}
 	cycle()

@@ -10,8 +10,8 @@ func TestStreamSerializesKernels(t *testing.T) {
 	s := NewStream(gpu)
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
-		s.Enqueue(Kernel{Name: "k", Work: 10 * time.Millisecond, Occupancy: 0.9,
-			Done: doneFunc(func() { ends = append(ends, eng.Now()) })})
+		s.Enqueue(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9,
+			Recv: recv(s, func() { ends = append(ends, eng.Now()) })})
 	}
 	eng.Run()
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
@@ -33,10 +33,10 @@ func TestTwoStreamsContendLikeFigure2(t *testing.T) {
 	var end1, end2 time.Duration
 	const kernels = 10
 	for i := 0; i < kernels; i++ {
-		s1.Enqueue(Kernel{Name: "m1", Ctx: 1, Work: time.Millisecond, Occupancy: 0.9,
-			Done: doneFunc(func() { end1 = eng.Now() })})
-		s2.Enqueue(Kernel{Name: "m2", Ctx: 2, Work: time.Millisecond, Occupancy: 0.9,
-			Done: doneFunc(func() { end2 = eng.Now() })})
+		s1.Enqueue(Kernel{Ctx: 1, Work: time.Millisecond, Occupancy: 0.9,
+			Recv: recv(s1, func() { end1 = eng.Now() })})
+		s2.Enqueue(Kernel{Ctx: 2, Work: time.Millisecond, Occupancy: 0.9,
+			Recv: recv(s2, func() { end2 = eng.Now() })})
 	}
 	eng.Run()
 	solo := kernels * time.Millisecond
@@ -55,8 +55,8 @@ func TestStreamAbortDiscardsQueueOnly(t *testing.T) {
 	finished := map[string]bool{}
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
-		s.Enqueue(Kernel{Name: name, Work: 10 * time.Millisecond, Occupancy: 0.9,
-			Done: doneFunc(func() { finished[name] = true })})
+		s.Enqueue(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9,
+			Recv: recv(s, func() { finished[name] = true })})
 	}
 	// Abort mid-way through kernel "a": b and c are queued, a in flight.
 	eng.Schedule(5*time.Millisecond, func() {
@@ -89,7 +89,7 @@ func TestStreamDrainFiresWhenEmpty(t *testing.T) {
 		t.Fatal("Drain on empty stream must fire inline")
 	}
 	// Now with work in flight.
-	s.Enqueue(Kernel{Name: "k", Work: 5 * time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: 5 * time.Millisecond, Occupancy: 0.9})
 	var at time.Duration = -1
 	s.Drain(func() { at = eng.Now() })
 	eng.Run()
@@ -101,8 +101,8 @@ func TestStreamDrainFiresWhenEmpty(t *testing.T) {
 func TestStreamDrainAfterAbort(t *testing.T) {
 	eng, gpu := newTestGPU()
 	s := NewStream(gpu)
-	s.Enqueue(Kernel{Name: "a", Work: 10 * time.Millisecond, Occupancy: 0.9})
-	s.Enqueue(Kernel{Name: "b", Work: 10 * time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9})
 	var at time.Duration = -1
 	eng.Schedule(2*time.Millisecond, func() {
 		s.Abort()
@@ -117,12 +117,12 @@ func TestStreamDrainAfterAbort(t *testing.T) {
 func TestStreamEnqueueAfterAbortResumes(t *testing.T) {
 	eng, gpu := newTestGPU()
 	s := NewStream(gpu)
-	s.Enqueue(Kernel{Name: "a", Work: 2 * time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: 2 * time.Millisecond, Occupancy: 0.9})
 	s.Abort() // no queued kernels; a stays in flight
 	done := false
 	eng.Schedule(5*time.Millisecond, func() {
-		s.Enqueue(Kernel{Name: "b", Work: time.Millisecond, Occupancy: 0.9,
-			Done: doneFunc(func() { done = true })})
+		s.Enqueue(Kernel{Work: time.Millisecond, Occupancy: 0.9,
+			Recv: recv(s, func() { done = true })})
 	})
 	eng.Run()
 	if !done {
@@ -133,7 +133,7 @@ func TestStreamEnqueueAfterAbortResumes(t *testing.T) {
 func TestStreamMultipleDrainWaiters(t *testing.T) {
 	eng, gpu := newTestGPU()
 	s := NewStream(gpu)
-	s.Enqueue(Kernel{Name: "k", Work: 5 * time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: 5 * time.Millisecond, Occupancy: 0.9})
 	fired := 0
 	s.Drain(func() { fired++ })
 	s.Drain(func() { fired++ })
@@ -146,8 +146,8 @@ func TestStreamMultipleDrainWaiters(t *testing.T) {
 func TestStreamDrainNotFiredWhileBacklog(t *testing.T) {
 	eng, gpu := newTestGPU()
 	s := NewStream(gpu)
-	s.Enqueue(Kernel{Name: "a", Work: time.Millisecond, Occupancy: 0.9})
-	s.Enqueue(Kernel{Name: "b", Work: time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: time.Millisecond, Occupancy: 0.9})
 	var at time.Duration = -1
 	s.Drain(func() { at = eng.Now() })
 	eng.Run()
@@ -163,7 +163,8 @@ func TestStreamRecoversAfterGPUFailAndHeal(t *testing.T) {
 	eng, gpu := newTestGPU()
 	s := NewStream(gpu)
 	done := newTally()
-	s.Enqueue(Kernel{Name: "lost", Work: 10 * time.Millisecond, Occupancy: 0.9, Done: done, Tag: 1})
+	id := s.Register(done)
+	s.Enqueue(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9, Recv: id, Tag: 1})
 	eng.Schedule(5*time.Millisecond, func() { gpu.Fail() })
 	eng.Schedule(6*time.Millisecond, func() {
 		if !s.InFlight() {
@@ -176,7 +177,7 @@ func TestStreamRecoversAfterGPUFailAndHeal(t *testing.T) {
 	})
 	drained := false
 	eng.Schedule(7*time.Millisecond, func() {
-		s.Enqueue(Kernel{Name: "after", Work: time.Millisecond, Occupancy: 0.9, Done: done, Tag: 2})
+		s.Enqueue(Kernel{Work: time.Millisecond, Occupancy: 0.9, Recv: id, Tag: 2})
 		s.Drain(func() { drained = true })
 	})
 	eng.RunFor(time.Second)
@@ -194,7 +195,7 @@ func TestStreamRecoversAfterGPUFailAndHeal(t *testing.T) {
 func TestStreamDrainReleasesSlotLostToFailure(t *testing.T) {
 	eng, gpu := newTestGPU()
 	s := NewStream(gpu)
-	s.Enqueue(Kernel{Name: "lost", Work: 10 * time.Millisecond, Occupancy: 0.9})
+	s.Enqueue(Kernel{Work: 10 * time.Millisecond, Occupancy: 0.9})
 	eng.Schedule(5*time.Millisecond, func() { gpu.Fail() })
 	eng.Schedule(6*time.Millisecond, gpu.Heal)
 	var at time.Duration = -1
@@ -211,10 +212,11 @@ func TestStreamEnqueueDoneCycleAllocatesNothing(t *testing.T) {
 	eng, gpu := newTestGPU()
 	s1, s2 := NewStream(gpu), NewStream(gpu)
 	done := newTally()
+	id1, id2 := s1.Register(done), s2.Register(done)
 	cycle := func() {
 		for i := int32(0); i < 4; i++ {
-			s1.Enqueue(Kernel{Name: "m1", Work: time.Millisecond, Occupancy: 0.6, Done: done, Tag: i})
-			s2.Enqueue(Kernel{Name: "m2", Work: time.Millisecond, Occupancy: 0.6, Done: done, Tag: i})
+			s1.Enqueue(Kernel{Work: time.Millisecond, Occupancy: 0.6, Recv: id1, Tag: i})
+			s2.Enqueue(Kernel{Work: time.Millisecond, Occupancy: 0.6, Recv: id2, Tag: i})
 		}
 		eng.Run()
 	}
@@ -226,5 +228,36 @@ func TestStreamEnqueueDoneCycleAllocatesNothing(t *testing.T) {
 		if done.byTag[tag] != 2*102 {
 			t.Fatalf("completions by tag %v, want %d each", done.byTag, 2*102)
 		}
+	}
+}
+
+// TestStreamReleaseWaitsForInFlightKernel: registering is by identity,
+// a released slot is reused, and a receiver released while its kernel
+// runs keeps its slot (and still names and hears of the kernel) until
+// that kernel completes.
+func TestStreamReleaseWaitsForInFlightKernel(t *testing.T) {
+	eng, gpu := newTestGPU()
+	spans := collectSpans(gpu)
+	s := NewStream(gpu)
+	heard := 0
+	a := &doneFunc{name: "a", fn: func() { heard++ }}
+	id := s.Register(a)
+	if again := s.Register(a); again != id {
+		t.Fatalf("registering a receiver twice gave slots %d and %d", id, again)
+	}
+	s.Enqueue(Kernel{Work: time.Millisecond, Occupancy: 0.9, Recv: id})
+	s.Release(id)
+	if other := s.Register(&doneFunc{}); other == id {
+		t.Fatal("a slot was reused while its receiver's kernel was in flight")
+	}
+	eng.Run()
+	if heard != 1 || len(*spans) != 1 || (*spans)[0].Name != "a" {
+		t.Fatalf("released receiver heard %d completions, spans %+v; want 1 named a", heard, *spans)
+	}
+	if s.recv[id] != nil {
+		t.Fatal("the slot still holds its receiver after the kernel completed")
+	}
+	if reused := s.Register(&doneFunc{}); reused != id {
+		t.Fatalf("freed slot %d not reused, got %d", id, reused)
 	}
 }

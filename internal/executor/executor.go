@@ -76,10 +76,14 @@ type Run struct {
 	// shardsLeft counts, per node ID, the unfinished shards of a sharded
 	// CPU op; allocated on the first sharded dispatch.
 	shardsLeft []int32
-	done       int
-	total      int
-	suspended  bool
-	aborted    bool
+	// recv is the run's receiver index on cfg.Stream, registered in Start
+	// and released (set back to 0) when the run finishes or aborts, so the
+	// stream keeps no ended run reachable.
+	recv      int32
+	done      int
+	total     int
+	suspended bool
+	aborted   bool
 	// epoch counts suspensions. Worker tasks carry the epoch they were
 	// dispatched in, so a task that outlives a suspension is ignored.
 	epoch  int32
@@ -108,6 +112,7 @@ func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Ru
 	copy(r.pending, plan.Deps)
 	if sub.Device.Kind == device.KindGPU {
 		r.launch = launchTable(sub, plan, cfg.Stream.GPU().Class, cfg.Eager)
+		r.recv = cfg.Stream.Register(r)
 	}
 	if r.total == 0 {
 		eng.After(0, r.finish)
@@ -194,6 +199,7 @@ func (r *Run) Abort(onDrained func()) {
 	r.aborted = true
 	r.suspended = true
 	if wasSuspended {
+		r.release()
 		if onDrained != nil {
 			onDrained()
 		}
@@ -205,6 +211,7 @@ func (r *Run) Abort(onDrained func()) {
 	}
 	if r.cfg.Stream != nil {
 		r.cfg.Stream.Abort()
+		r.release()
 		if onDrained != nil {
 			r.cfg.Stream.Drain(onDrained)
 		}
@@ -372,11 +379,10 @@ func (r *Run) process(n *graph.Node) {
 			})
 		}
 		r.cfg.Stream.Enqueue(device.Kernel{
-			Name:      n.Name,
 			Work:      l.Work,
 			Occupancy: l.Occupancy,
 			Ctx:       r.cfg.Ctx,
-			Done:      r,
+			Recv:      r.recv,
 			Tag:       int32(n.ID),
 		})
 	default:
@@ -386,6 +392,10 @@ func (r *Run) process(n *graph.Node) {
 
 // KernelDone implements device.Completer: node tag's kernel completed.
 func (r *Run) KernelDone(tag int32) { r.complete(r.sub.Graph.Nodes()[tag]) }
+
+// KernelName implements device.Completer: node tag's name labels its
+// kernel in traces.
+func (r *Run) KernelName(tag int32) string { return r.sub.Graph.Nodes()[tag].Name }
 
 // startSend moves n's tensor over the copy path toward its Recv peer.
 func (r *Run) startSend(n *graph.Node) {
@@ -451,7 +461,16 @@ func (r *Run) finish() {
 	if r.aborted {
 		return
 	}
+	r.release()
 	if r.onDone != nil {
 		r.onDone()
+	}
+}
+
+// release gives up the run's receiver slot on its stream.
+func (r *Run) release() {
+	if r.recv != 0 {
+		r.cfg.Stream.Release(r.recv)
+		r.recv = 0
 	}
 }

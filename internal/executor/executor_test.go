@@ -642,3 +642,66 @@ func TestLaunchTableMatchesCostModel(t *testing.T) {
 		t.Fatal("the two classes price the kernel alike; the test cannot tell them apart")
 	}
 }
+
+// TestSharedStreamKernelSpans runs two runs concurrently on one stream,
+// then chains three more as each ends: the third registers in a slot the
+// first released, and the fourth is aborted with a kernel in flight while
+// the fifth registers beside it. The kernel spans (name, ctx, start,
+// duration) are pinned: they are the ones the executor produced when each
+// kernel carried its own name and receiver.
+func TestSharedStreamKernelSpans(t *testing.T) {
+	f := newFixture(2)
+	bus := f.machine.Bus()
+	var got []string
+	bus.Subscribe(obs.SinkFunc(func(e obs.Event) {
+		got = append(got, fmt.Sprintf("%s ctx%d %v+%v", e.Name, e.Ctx, e.Start, e.Dur))
+	}), obs.KindKernelSpan)
+	stream := device.NewStream(f.machine.GPU(0))
+	start := func(ctx int, sub *graph.Subgraph, onDone func()) *Run {
+		cfg := f.gpuConfig(stream)
+		cfg.Ctx, cfg.Bus = ctx, bus
+		r, err := Start(f.eng, sub, cfg, onDone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	start(1, layeredGPUGraph(t, 3, 2, 4e9), func() {
+		start(3, layeredGPUGraph(t, 2, 2, 1e9), func() {
+			r4 := start(4, layeredGPUGraph(t, 2, 2, 8e9), nil)
+			f.eng.After(1200*time.Microsecond, func() {
+				if !stream.InFlight() {
+					t.Error("run 4 has no kernel in flight at its abort")
+				}
+				r4.Abort(nil)
+				start(5, layeredGPUGraph(t, 1, 2, 1e9), nil)
+			})
+		})
+	})
+	start(2, layeredGPUGraph(t, 2, 3, 2e9), nil)
+	f.eng.Run()
+	want := []string{
+		"L0N0 ctx1 6µs+712.663µs",
+		"L0N1 ctx1 718.663µs+712.663µs",
+		"L0N0 ctx2 1.431326ms+356.331µs",
+		"L0N1 ctx2 1.787657ms+356.331µs",
+		"L0N2 ctx2 2.143988ms+356.331µs",
+		"L1N0 ctx1 2.500319ms+712.663µs",
+		"L1N1 ctx1 3.212982ms+712.663µs",
+		"L1N0 ctx2 3.925645ms+356.331µs",
+		"L1N1 ctx2 4.281976ms+356.331µs",
+		"L1N2 ctx2 4.638307ms+356.331µs",
+		"L2N0 ctx1 4.994638ms+712.663µs",
+		"L2N1 ctx1 5.707301ms+712.663µs",
+		"L0N0 ctx3 6.425964ms+178.165µs",
+		"L0N1 ctx3 6.604129ms+178.165µs",
+		"L1N0 ctx3 6.788294ms+178.165µs",
+		"L1N1 ctx3 6.966459ms+178.165µs",
+		"L0N0 ctx4 7.150624ms+1.425326ms",
+		"L0N0 ctx5 8.57595ms+178.165µs",
+		"L0N1 ctx5 8.754115ms+178.165µs",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("kernel spans\n got %q\nwant %q", got, want)
+	}
+}

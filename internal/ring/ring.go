@@ -1,9 +1,16 @@
 // Package ring provides Deque, a growable ring-buffer double-ended queue
 // of values. It backs the FIFOs on the kernel path (GPU admission queues,
-// stream backlogs, worker-thread local queues): once the buffer has grown
-// to the peak depth, pushes and pops at either end allocate nothing, where
-// reslicing a Go slice (q = q[1:]) or prepending to it regrows the backing
-// array again and again.
+// stream backlogs, worker-thread local queues) and the serving jobs'
+// request-arrival queues: once the buffer has grown to the peak depth,
+// pushes and pops at either end allocate nothing, where reslicing a Go
+// slice (q = q[1:]) or prepending to it regrows the backing array again
+// and again, and keeps every element ever queued reachable.
+//
+// Vacated slots are zeroed. For element types that hold pointers (worker
+// tasks name their owner) that keeps the buffer from pinning what former
+// elements referenced; for pointer-free types (kernel records, arrival
+// times) the zeroing is a plain store and the garbage collector never
+// scans the buffer.
 package ring
 
 // minCap is the first buffer size a push allocates.

@@ -109,3 +109,40 @@ func TestDequeSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("steady-state cycle allocates %v times, want 0", n)
 	}
 }
+
+// TestDequeSteadyStateBoundsMemory is the unbounded-growth regression
+// for queues that advance by popping: reslicing a Go slice (q = q[1:])
+// keeps its whole backing array live, so a steady push/pop stream grew
+// memory with every element ever queued. The ring stays sized to the
+// high-water depth.
+func TestDequeSteadyStateBoundsMemory(t *testing.T) {
+	var d Deque[int64]
+	for i := int64(0); i < 100000; i++ {
+		d.PushBack(i)
+		if got := d.PopFront(); got != i {
+			t.Fatalf("pop %d = %v", i, got)
+		}
+	}
+	if len(d.buf) > minCap {
+		t.Fatalf("steady-state depth-1 deque grew its buffer to %d", len(d.buf))
+	}
+}
+
+// TestDequeFIFOAcrossGrowWithOffset grows the ring while its head is
+// not at slot 0; the elements must keep their order.
+func TestDequeFIFOAcrossGrowWithOffset(t *testing.T) {
+	var d Deque[int]
+	for i := 0; i < 5; i++ {
+		d.PushBack(i)
+	}
+	d.PopFront()
+	d.PopFront()
+	for i := 5; i < 12; i++ {
+		d.PushBack(i) // grows past minCap with the head at slot 2
+	}
+	for want := 2; d.Len() > 0; want++ {
+		if got := d.PopFront(); got != want {
+			t.Fatalf("PopFront() = %v, want %v", got, want)
+		}
+	}
+}

@@ -44,7 +44,10 @@ type Pool struct {
 	workers     []*worker
 	activeLimit int
 	busy        int
-	busyTime    time.Duration
+	// queued is the number of tasks in all local queues, so a worker
+	// whose own queue is empty skips the steal scan when nothing waits.
+	queued   int
+	busyTime time.Duration
 }
 
 type worker struct {
@@ -91,13 +94,7 @@ func (p *Pool) SetActiveLimit(n int) {
 func (p *Pool) Busy() int { return p.busy }
 
 // Queued returns the number of tasks waiting in local queues.
-func (p *Pool) Queued() int {
-	total := 0
-	for _, w := range p.workers {
-		total += w.queue.Len()
-	}
-	return total
-}
+func (p *Pool) Queued() int { return p.queued }
 
 // BusyTime returns accumulated worker-seconds of executed task time.
 func (p *Pool) BusyTime() time.Duration { return p.busyTime }
@@ -126,6 +123,7 @@ func (p *Pool) Submit(t Task, preferred int, front bool) {
 	} else {
 		w.queue.PushBack(t)
 	}
+	p.queued++
 }
 
 // Abort removes every queued task tagged with owner and returns the count.
@@ -136,6 +134,7 @@ func (p *Pool) Abort(owner Owner) int {
 	for _, w := range p.workers {
 		removed += w.queue.Retain(func(t *Task) bool { return t.Owner != owner })
 	}
+	p.queued -= removed
 	return removed
 }
 
@@ -190,16 +189,15 @@ func (w *worker) done() {
 // next lets worker w pick its next task: own queue first, then steal from
 // the longest peer queue, else go idle.
 func (p *Pool) next(w *worker) {
-	if p.busy >= p.activeLimit {
+	if p.busy >= p.activeLimit || p.queued == 0 {
 		return
 	}
+	p.queued--
 	if w.queue.Len() > 0 {
 		p.start(w, w.queue.PopFront())
 		return
 	}
-	if victim := p.longestQueue(); victim != nil {
-		p.start(w, victim.queue.PopBack()) // steal from the tail
-	}
+	p.start(w, p.longestQueue().queue.PopBack()) // steal from the tail
 }
 
 // dispatch pairs idle workers with queued work, used after raising the
@@ -218,13 +216,12 @@ func (p *Pool) dispatch() {
 	}
 }
 
+// longestQueue returns the worker with the most queued tasks, the lowest
+// index on ties. Call it only while p.queued > 0.
 func (p *Pool) longestQueue() *worker {
-	var best *worker
-	for _, w := range p.workers {
-		if w.queue.Len() == 0 {
-			continue
-		}
-		if best == nil || w.queue.Len() > best.queue.Len() {
+	best := p.workers[0]
+	for _, w := range p.workers[1:] {
+		if w.queue.Len() > best.queue.Len() {
 			best = w
 		}
 	}

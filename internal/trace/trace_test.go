@@ -59,7 +59,7 @@ func TestTimelineAttachBusRecordsKernels(t *testing.T) {
 	gpu := device.NewGPU(eng, device.GPUID(0), device.ClassV100)
 	var tl Timeline
 	tl.AttachBus(gpu.EventBus())
-	gpu.Submit(device.Kernel{Name: "a", Ctx: 1, Work: time.Millisecond, Occupancy: 0.9})
+	gpu.Submit(device.Kernel{Ctx: 1, Work: time.Millisecond, Occupancy: 0.9})
 	eng.Run()
 	if len(tl.Spans()) != 1 {
 		t.Fatalf("recorded %d spans, want 1", len(tl.Spans()))

@@ -149,7 +149,7 @@ func (j *Job) admitArrival(now time.Duration) bool {
 		return false
 	}
 	j.bus.Emit(obs.Event{Kind: obs.KindAdmit, Ctx: j.Ctx, Job: j.Cfg.Name, Start: now})
-	j.pending.Push(now)
+	j.pending.PushBack(now)
 	return true
 }
 

@@ -187,6 +187,40 @@ func TestAbandonComputeReturnsMicroBatch(t *testing.T) {
 	}
 }
 
+// TestAbandonComputeRestoresArrivalOrder: an abandoned micro-batch goes
+// back to the front of the ready queue in arrival order, ahead of the
+// requests that were waiting behind it, and the next micro-batch is popped
+// into the same reused backing array without disturbing the queue.
+func TestAbandonComputeRestoresArrivalOrder(t *testing.T) {
+	job, _ := servingJob(t, 2, 0, 0)
+	for i := 1; i <= 3; i++ {
+		job.admitArrival(time.Duration(i) * time.Millisecond)
+		job.BeginInput()
+		job.FinishInput()
+	}
+	job.BeginCompute()
+	backing := &job.active[0]
+	job.AbandonCompute()
+	if len(job.active) != 0 || job.ready.Len() != 3 {
+		t.Fatalf("after abandon: active %v, %d ready; want none active, 3 ready", job.active, job.ready.Len())
+	}
+	for i := 0; i < 3; i++ {
+		if got, want := *job.ready.At(i), time.Duration(i+1)*time.Millisecond; got != want {
+			t.Fatalf("ready[%d] = %v, want %v", i, got, want)
+		}
+	}
+	job.BeginCompute()
+	if len(job.active) != 2 || job.active[0] != time.Millisecond || job.active[1] != 2*time.Millisecond {
+		t.Fatalf("re-formed batch %v, want [1ms 2ms]", job.active)
+	}
+	if &job.active[0] != backing {
+		t.Fatal("the next micro-batch did not reuse the active batch's backing array")
+	}
+	if job.ready.Len() != 1 || *job.ready.At(0) != 3*time.Millisecond {
+		t.Fatalf("the request behind the batch moved: %d ready", job.ready.Len())
+	}
+}
+
 func TestTargetBatchRespectsSLOBudget(t *testing.T) {
 	// With no SLO the target is MaxBatch; with a budget only as large a
 	// batch as still fits the SLO may form.

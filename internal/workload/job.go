@@ -16,6 +16,7 @@ import (
 	"switchflow/internal/metrics"
 	"switchflow/internal/models"
 	"switchflow/internal/obs"
+	"switchflow/internal/ring"
 	"switchflow/internal/sim"
 	"switchflow/internal/threadpool"
 	"switchflow/internal/vnode"
@@ -160,9 +161,9 @@ type Job struct {
 	// ComputeRunning flags an in-flight compute stage.
 	ComputeRunning bool
 
-	eng      *sim.Engine
-	machine  *device.Machine
-	bus      *obs.Bus
+	eng     *sim.Engine
+	machine *device.Machine
+	bus     *obs.Bus
 	// serving aggregates the job's admission/batching outcomes from the
 	// observability spine (it subscribes to the machine bus, filtered by
 	// context) instead of being hand-incremented at each call site.
@@ -175,10 +176,10 @@ type Job struct {
 	// not yet preprocessing), inflight (input stage running), ready
 	// (prefetched, awaiting compute), active (the micro-batch the current
 	// compute run serves).
-	pending      arrivalQueue
-	inflight     arrivalQueue
-	ready        arrivalQueue
-	active       []time.Duration
+	pending      ring.Deque[time.Duration]
+	inflight     ring.Deque[time.Duration]
+	ready        ring.Deque[time.Duration]
+	active       []time.Duration // reused across micro-batches
 	inputReady   int
 	arrivalEvent sim.Event
 	// notify gates the closed-loop re-arm; StopArrivals clears it.
@@ -560,7 +561,7 @@ func (j *Job) CanStartInput() bool {
 func (j *Job) BeginInput() {
 	j.InputsInFlight++
 	if !j.Training() && !j.Cfg.Saturated && j.pending.Len() > 0 {
-		j.inflight.Push(j.pending.Pop())
+		j.inflight.PushBack(j.pending.PopFront())
 	}
 }
 
@@ -574,7 +575,7 @@ func (j *Job) FinishInput() {
 	j.InputsInFlight--
 	j.inputReady++
 	if !j.Training() && !j.Cfg.Saturated && j.inflight.Len() > 0 {
-		j.ready.Push(j.inflight.Pop())
+		j.ready.PushBack(j.inflight.PopFront())
 		j.noteInputReady()
 	}
 }
@@ -602,7 +603,10 @@ func (j *Job) BeginCompute() {
 	if k > j.ready.Len() {
 		k = j.ready.Len()
 	}
-	j.active = j.ready.PopN(k)
+	j.active = j.active[:0]
+	for range k {
+		j.active = append(j.active, j.ready.PopFront())
+	}
 	j.inputReady -= k
 	j.ComputeRunning = true
 	if j.ready.Len() > 0 && j.batchingEnabled() && j.Cfg.BatchWait > 0 {
@@ -646,7 +650,7 @@ func (j *Job) FinishCompute() {
 				Count: met,
 			})
 		}
-		j.active = nil
+		j.active = j.active[:0]
 	}
 	if j.Cfg.ClosedLoop && j.notify != nil {
 		notify := j.notify
@@ -666,8 +670,10 @@ func (j *Job) AbandonCompute() {
 	j.ComputeRunning = false
 	if len(j.active) > 0 {
 		j.inputReady += len(j.active)
-		j.ready.PushFront(j.active)
-		j.active = nil
+		for i := len(j.active) - 1; i >= 0; i-- {
+			j.ready.PushFront(j.active[i])
+		}
+		j.active = j.active[:0]
 		return
 	}
 	j.inputReady++
